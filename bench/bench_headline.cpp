@@ -13,20 +13,20 @@
 // emitted as JSON for the scaling-curve table in README.
 
 // A fourth section measures the *production* SNAP force engine
-// (SnapPotential over a periodic diamond system) with all three kernel
-// variants — Naive (full range), Symmetric (TestSNAP V5-V7 port: half
-// range + cached neighbor dU + SoA) and Simd (V8: lane-blocked AVX2/
-// AVX-512 over neighbors) — across thread counts, checks force parity
-// between them, and optionally records the whole run as machine-stamped
-// JSON (--json <path>; the bench_record CMake target writes
-// BENCH_headline.json at the repo root). Thread counts beyond the
-// machine's hardware threads are stamped "oversubscribed": flat curves
-// from a 1-core container are annotated as such, not presented as
-// scaling. A fifth section is the roofline readout: per-stage GFLOP/s
-// from the kernel timing counters and the analytic Bispectrum::flops_*
-// counts, against a DP peak derived from the probed ISA width and clock
-// (the paper's Table-I-style fraction-of-peak, at node scale in the
-// paper, at core scale here).
+// (SnapPotential over a periodic diamond system): the adjoint lane kernel
+// at the lane width the dispatcher picked, across thread counts, with its
+// force parity against the independent Baseline (Z/dB) path, and
+// optionally records the whole run as machine-stamped JSON (--json
+// <path>; the bench_record CMake target writes BENCH_headline.json at the
+// repo root). The naive -> adjoint optimization story is the TestSNAP
+// benches (bench_fig2/fig3). Thread counts beyond the machine's hardware
+// threads are stamped "oversubscribed": flat curves from a small
+// container are annotated as such, not presented as scaling. A fifth
+// section is the roofline readout: per-stage GFLOP/s from the kernel
+// timing counters and the analytic Bispectrum::flops_* counts, against a
+// DP peak derived from the probed ISA width and clock (the paper's
+// Table-I-style fraction-of-peak, at node scale in the paper, at core
+// scale here).
 
 // A sixth section benchmarks the output pipeline (DESIGN.md §13): the
 // same short MD run with dumps off, synchronous dumps, and asynchronous
@@ -106,21 +106,14 @@ struct KernelRun {
 struct ProductionBench {
   int natoms = 0;
   double avg_neighbors = 0.0;
-  // grind[kernel][thread index], threads from kThreadCounts; kernel order
-  // matches kKernels / kKernelNames below.
-  std::vector<std::vector<KernelRun>> runs;
-  double max_force_delta = 0.0;       // symmetric vs naive, 1 thread
-  double max_force_delta_simd = 0.0;  // simd vs symmetric, 1 thread
+  ember::snap::simd::SimdIsa isa = ember::snap::simd::SimdIsa::Scalar;
+  std::vector<KernelRun> runs;  // one per kThreadCounts entry
+  double max_force_delta = 0.0;  // adjoint vs Baseline path, 1 thread
 };
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
-constexpr ember::snap::SnapKernel kKernels[] = {
-    ember::snap::SnapKernel::Naive, ember::snap::SnapKernel::Symmetric,
-    ember::snap::SnapKernel::Simd};
-constexpr const char* kKernelNames[] = {"naive", "symmetric", "simd"};
-constexpr int kNumKernels = static_cast<int>(std::size(kKernels));
 
-ember::snap::SnapModel production_model(ember::snap::SnapKernel kernel) {
+ember::snap::SnapModel production_model() {
   using namespace ember;
   snap::SnapParams p;
   p.twojmax = 8;
@@ -128,7 +121,6 @@ ember::snap::SnapModel production_model(ember::snap::SnapKernel kernel) {
   // in compressed carbon at 2J=8.
   p.rcut = 3.1;
   p.bzero_flag = true;
-  p.kernel = kernel;
   snap::SnapModel m;
   m.params = p;
   Rng rng(7);
@@ -138,8 +130,10 @@ ember::snap::SnapModel production_model(ember::snap::SnapKernel kernel) {
   return m;
 }
 
-KernelRun run_production(const ember::snap::SnapModel& model, int nthreads,
-                         double* avg_neighbors) {
+KernelRun run_production(
+    int nthreads, double* avg_neighbors,
+    ember::snap::SnapPotential::Path path =
+        ember::snap::SnapPotential::Path::Adjoint) {
   using namespace ember;
   md::LatticeSpec spec;
   spec.kind = md::LatticeKind::Diamond;
@@ -149,7 +143,7 @@ KernelRun run_production(const ember::snap::SnapModel& model, int nthreads,
   Rng rng(11);
   md::perturb(sys, 0.04, rng);
 
-  snap::SnapPotential pot(model);
+  snap::SnapPotential pot(production_model(), path);
   const md::ComputeContext ctx{ExecutionPolicy{nthreads}};
   md::NeighborList nl(pot.cutoff(), 0.3);
   nl.build(sys, /*use_ghosts=*/false, &ctx);
@@ -186,17 +180,14 @@ double max_component_delta(const std::vector<ember::Vec3>& a,
 ProductionBench run_production_bench() {
   using namespace ember;
   ProductionBench b;
-  for (const auto kernel : kKernels) {
-    const snap::SnapModel model = production_model(kernel);
-    std::vector<KernelRun> runs;
-    for (const int nth : kThreadCounts) {
-      runs.push_back(run_production(model, nth, &b.avg_neighbors));
-    }
-    b.runs.push_back(std::move(runs));
+  b.isa = snap::simd::choose_isa();
+  for (const int nth : kThreadCounts) {
+    b.runs.push_back(run_production(nth, &b.avg_neighbors));
   }
-  b.natoms = static_cast<int>(b.runs[0][0].f.size());
-  b.max_force_delta = max_component_delta(b.runs[0][0].f, b.runs[1][0].f);
-  b.max_force_delta_simd = max_component_delta(b.runs[2][0].f, b.runs[1][0].f);
+  b.natoms = static_cast<int>(b.runs[0].f.size());
+  const KernelRun baseline =
+      run_production(1, nullptr, snap::SnapPotential::Path::Baseline);
+  b.max_force_delta = max_component_delta(b.runs[0].f, baseline.f);
   return b;
 }
 
@@ -211,35 +202,32 @@ struct StageReadout {
 // Single-thread production workload with kernel timing on; stage seconds
 // come from the snap.* counters, stage FLOPs from the analytic
 // Bispectrum::flops_* counts scaled by the counted atoms/neighbor visits.
-// The Simd counts deliberately exclude padded remainder lanes — only
-// useful flops credit the rate, so fraction-of-peak stays honest.
-std::vector<StageReadout> measure_stages(ember::snap::SnapKernel kernel) {
+// The counts exclude padded remainder lanes — only useful flops credit
+// the rate, so fraction-of-peak stays honest.
+std::vector<StageReadout> measure_stages() {
   using namespace ember;
   auto& reg = obs::Registry::global();
-  for (const char* c :
-       {"snap.ui_seconds", "snap.yi_seconds", "snap.dei_seconds",
-        "snap.dei_cached_seconds", "snap.atoms", "snap.neighbors"}) {
+  for (const char* c : {"snap.ui_seconds", "snap.yi_seconds",
+                        "snap.dei_seconds", "snap.atoms", "snap.neighbors"}) {
     reg.counter(c).reset();
   }
   obs::set_kernel_timing(true);
-  run_production(production_model(kernel), 1, nullptr);
+  run_production(1, nullptr);
   obs::set_kernel_timing(false);
 
   const double atoms = reg.counter("snap.atoms").value();
   const double neigh = reg.counter("snap.neighbors").value();
-  const snap::Bispectrum bi(production_model(kernel).params);
+  const snap::Bispectrum bi(production_model().params);
   // flops_ui(n) is affine in n: a per-atom part (self term + zeroing) plus
   // a per-neighbor recursion slope.
   const double ui_base = bi.flops_ui(0);
   const double ui_slope = bi.flops_ui(1) - ui_base;
-  const double dei_seconds = reg.counter("snap.dei_seconds").value() +
-                             reg.counter("snap.dei_cached_seconds").value();
   return {
       {"ui", reg.counter("snap.ui_seconds").value(),
        1e-9 * (ui_slope * neigh + ui_base * atoms)},
       {"yi", reg.counter("snap.yi_seconds").value(),
        1e-9 * bi.flops_yi() * atoms},
-      {"dei", dei_seconds,
+      {"dei", reg.counter("snap.dei_seconds").value(),
        1e-9 * (bi.flops_duidrj() + bi.flops_deidrj()) * neigh},
   };
 }
@@ -391,33 +379,27 @@ ember::bench::Recorder production_recording(const ProductionBench& b) {
   rec.root().set("avg_neighbors", b.avg_neighbors, "%.1f");
 
   const ember::obs::MachineInfo mach = ember::obs::probe_machine();
-  Json kernels = Json::array();
-  for (int k = 0; k < kNumKernels; ++k) {
-    Json curve = Json::array();
-    for (std::size_t i = 0; i < b.runs[k].size(); ++i) {
-      Json entry = Json::object()
-                       .set("threads", kThreadCounts[i])
-                       .set("s_per_atom_step", b.runs[k][i].grind, "%.4g");
-      // More software threads than hardware threads: the point measures
-      // scheduler interleaving, not scaling. Stamp it so readers (and
-      // smoke.sh) never mistake a flat oversubscribed curve for speedup.
-      if (kThreadCounts[i] > mach.hardware_threads) {
-        entry.set("oversubscribed", true);
-      }
-      curve.push(std::move(entry));
+  Json curve = Json::array();
+  for (std::size_t i = 0; i < b.runs.size(); ++i) {
+    Json entry = Json::object()
+                     .set("threads", kThreadCounts[i])
+                     .set("s_per_atom_step", b.runs[i].grind, "%.4g");
+    // More software threads than hardware threads: the point measures
+    // scheduler interleaving, not scaling. Stamp it so readers (and
+    // smoke.sh) never mistake a flat oversubscribed curve for speedup.
+    if (kThreadCounts[i] > mach.hardware_threads) {
+      entry.set("oversubscribed", true);
     }
-    kernels.push(Json::object()
-                     .set("kernel", kKernelNames[k])
-                     .set("grind_time", std::move(curve)));
+    curve.push(std::move(entry));
   }
+  Json kernels = Json::array();
+  kernels.push(Json::object()
+                   .set("kernel", "adjoint")
+                   .set("isa", to_string(b.isa))
+                   .set("lane_width", lane_width(b.isa))
+                   .set("grind_time", std::move(curve)));
   rec.root().set("kernels", std::move(kernels));
-  rec.root().set("speedup_symmetric_vs_naive",
-                 b.runs[0][0].grind / b.runs[1][0].grind, "%.2f");
-  rec.root().set("speedup_simd_vs_symmetric",
-                 b.runs[1][0].grind / b.runs[2][0].grind, "%.2f");
-  rec.root().set("max_force_delta", b.max_force_delta, "%.3g");
-  rec.root().set("max_force_delta_simd_vs_symmetric", b.max_force_delta_simd,
-                 "%.3g");
+  rec.root().set("max_force_delta_vs_baseline", b.max_force_delta, "%.3g");
 
   // Table-I-style readout: measured per-stage GFLOP/s against the DP peak
   // of one core (the paper reports 24.9% of Summit's peak at node scale;
@@ -428,30 +410,22 @@ ember::bench::Recorder production_recording(const ProductionBench& b) {
   roofline.set("lane_width", lane_width(max_supported_isa()));
   roofline.set("clock_ghz", mach.clock_ghz, "%.2f");
   roofline.set("dp_peak_gflops_core", peak, "%.1f");
-  Json rk = Json::array();
-  std::printf("\n  roofline (1 thread, DP peak %.1f GFLOP/s/core):\n", peak);
-  std::printf("    kernel      stage   seconds    GFLOP/s   %% of peak\n");
-  for (const auto kernel :
-       {ember::snap::SnapKernel::Symmetric, ember::snap::SnapKernel::Simd}) {
-    const char* name = kKernelNames[kernel == ember::snap::SnapKernel::Simd
-                                        ? 2
-                                        : 1];
-    Json stages = Json::array();
-    for (const StageReadout& s : measure_stages(kernel)) {
-      const double rate = s.seconds > 0.0 ? s.gflop / s.seconds : 0.0;
-      const double frac = peak > 0.0 ? rate / peak : 0.0;
-      stages.push(Json::object()
-                      .set("stage", s.stage)
-                      .set("seconds", s.seconds, "%.4g")
-                      .set("gflops", rate, "%.2f")
-                      .set("fraction_of_peak", frac, "%.4f"));
-      std::printf("    %-9s   %-5s   %7.4f   %8.2f   %8.1f%%\n", name,
-                  s.stage, s.seconds, rate, 100.0 * frac);
-    }
-    rk.push(Json::object().set("kernel", name).set("stages",
-                                                   std::move(stages)));
+  Json stages = Json::array();
+  std::printf("\n  roofline (1 thread, %s, DP peak %.1f GFLOP/s/core):\n",
+              to_string(b.isa), peak);
+  std::printf("    stage   seconds    GFLOP/s   %% of peak\n");
+  for (const StageReadout& s : measure_stages()) {
+    const double rate = s.seconds > 0.0 ? s.gflop / s.seconds : 0.0;
+    const double frac = peak > 0.0 ? rate / peak : 0.0;
+    stages.push(Json::object()
+                    .set("stage", s.stage)
+                    .set("seconds", s.seconds, "%.4g")
+                    .set("gflops", rate, "%.2f")
+                    .set("fraction_of_peak", frac, "%.4f"));
+    std::printf("    %-5s   %7.4f   %8.2f   %8.1f%%\n", s.stage, s.seconds,
+                rate, 100.0 * frac);
   }
-  roofline.set("kernels", std::move(rk));
+  roofline.set("stages", std::move(stages));
   rec.root().set("roofline", std::move(roofline));
   return rec;
 }
@@ -460,25 +434,21 @@ void print_production_bench(const char* json_path) {
   using namespace ember;
   const ProductionBench b = run_production_bench();
   const obs::MachineInfo mach = obs::probe_machine();
-  std::printf("\n== Production SNAP kernel: Naive vs Symmetric vs Simd[%s] "
+  std::printf("\n== Production SNAP kernel: adjoint lane kernel [%s, width %d] "
               "(2J=8, %d atoms, %.0f nbrs) ==\n\n",
-              snap::simd::to_string(snap::simd::max_supported_isa()), b.natoms,
-              b.avg_neighbors);
-  std::printf("  threads   naive [us/atom]   symm [us/atom]   "
-              "simd [us/atom]   simd speedup\n");
-  for (std::size_t i = 0; i < b.runs[0].size(); ++i) {
+              snap::simd::to_string(b.isa), snap::simd::lane_width(b.isa),
+              b.natoms, b.avg_neighbors);
+  std::printf("  threads   grind [us/atom-step]   speedup\n");
+  for (std::size_t i = 0; i < b.runs.size(); ++i) {
     const char* note = kThreadCounts[i] > mach.hardware_threads
                            ? "  (oversubscribed)"
                            : "";
-    std::printf("  %7d   %15.2f   %14.2f   %14.2f   %11.2fx%s\n",
-                kThreadCounts[i], 1e6 * b.runs[0][i].grind,
-                1e6 * b.runs[1][i].grind, 1e6 * b.runs[2][i].grind,
-                b.runs[1][i].grind / b.runs[2][i].grind, note);
+    std::printf("  %7d   %20.2f   %6.2fx%s\n", kThreadCounts[i],
+                1e6 * b.runs[i].grind, b.runs[0].grind / b.runs[i].grind,
+                note);
   }
-  std::printf("\n  kernel parity (max |f_naive - f_symmetric|):    %.3g\n",
+  std::printf("\n  parity (max |f_adjoint - f_baseline|):    %.3g\n",
               b.max_force_delta);
-  std::printf("  kernel parity (max |f_simd  - f_symmetric|):    %.3g\n",
-              b.max_force_delta_simd);
 
   const IoBench io = run_io_bench();
   print_io_bench(io);
@@ -497,29 +467,22 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
   }
 
-  // FLOPs per atom-step from the kernel's analytic counts (2J=8, the
-  // production choice, ~26 neighbors in compressed carbon). The paper's
-  // implied count is for the full-range adjoint scheme, so the
-  // cross-check pins the Naive kernel; the Symmetric (V5-V7) count shows
-  // the work the symmetry-halved production kernel actually executes.
+  // FLOPs per atom-step from the production kernel's analytic counts
+  // (2J=8, the production choice, ~26 neighbors in compressed carbon).
   snap::SnapParams p;
   p.twojmax = 8;
-  p.kernel = snap::SnapKernel::Naive;
-  snap::Bispectrum bi(p);
-  const double flops_kernel = bi.flops_adjoint_atom(26);
-  p.kernel = snap::SnapKernel::Symmetric;
-  const double flops_sym = snap::Bispectrum(p).flops_adjoint_atom(26);
+  const double flops_kernel = snap::Bispectrum(p).flops_adjoint_atom(26);
   const double flops_paper = 50.0e15 / (6.21e6 * 4650);
 
   perf::ScalingModel model(perf::MachineModel::summit(), flops_paper);
   const auto run = model.predict(19.683e9, 4650);
 
   std::printf("== Headline reproduction ==\n\n");
-  std::printf("FLOPs per atom-step (paper, implied):   %.3g\n", flops_paper);
-  std::printf("FLOPs per atom-step (ember analytic):   %.3g  (ratio %.2f)\n",
+  std::printf("FLOPs per atom-step (paper, implied):    %.3g\n", flops_paper);
+  // The production kernel computes only the half column range 2*mb <= j,
+  // so it executes about half the full-range count the paper implies.
+  std::printf("FLOPs per atom-step (ember, half range): %.3g  (ratio %.2f)\n",
               flops_kernel, flops_kernel / flops_paper);
-  std::printf("FLOPs per atom-step (Symmetric kernel): %.3g  (%.2fx less work)\n",
-              flops_sym, flops_kernel / flops_sym);
   std::printf("\n20 G atoms on 4,650 Summit nodes (model):\n");
   std::printf("  MD performance: %6.2f Matom-steps/node-s   (paper 6.21)\n",
               run.matom_steps_per_node_s());

@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the individual SNAP stages, the
 // paper's Listing-1/Listing-5 building blocks, across 2J. Confirms the
 // complexity hierarchy: compute_zi/yi O(J^7) per atom dominates at large
-// 2J; per-neighbor dB O(J^5) vs dE O(J^3) is the adjoint win.
+// 2J; per-neighbor dB O(J^5) vs dE O(J^3) is the adjoint win (the dE
+// bench times the blocked pass over all 26 neighbors).
 
 #include <benchmark/benchmark.h>
 
@@ -61,7 +62,8 @@ void BM_ComputeYi(benchmark::State& state) {
   bi.compute_ui(w.rij, {});
   for (auto _ : state) {
     bi.compute_yi(w.beta);
-    benchmark::DoNotOptimize(bi.ylist().data());
+    benchmark::DoNotOptimize(&bi);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ComputeYi)->Arg(4)->Arg(8)->Arg(14);
@@ -77,17 +79,18 @@ void BM_ComputeDuidrj(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeDuidrj)->Arg(4)->Arg(8)->Arg(14);
 
-void BM_ComputeDeidrj(benchmark::State& state) {
+void BM_ComputeDeidrjAll(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
   Bispectrum bi(w.params);
   bi.compute_ui(w.rij, {});
   bi.compute_yi(w.beta);
-  bi.compute_duidrj(w.rij[0], 1.0);
+  std::vector<Vec3> de(w.rij.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bi.compute_deidrj());
+    bi.compute_deidrj_all(de);
+    benchmark::DoNotOptimize(de.data());
   }
 }
-BENCHMARK(BM_ComputeDeidrj)->Arg(4)->Arg(8)->Arg(14);
+BENCHMARK(BM_ComputeDeidrjAll)->Arg(4)->Arg(8)->Arg(14);
 
 void BM_ComputeDbidrj(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
@@ -106,14 +109,13 @@ BENCHMARK(BM_ComputeDbidrj)->Arg(4)->Arg(8)->Arg(14);
 void BM_AtomAdjoint(benchmark::State& state) {
   const auto w = make_workload(8);
   Bispectrum bi(w.params);
+  std::vector<Vec3> de(w.rij.size());
   for (auto _ : state) {
     bi.compute_ui(w.rij, {});
     bi.compute_yi(w.beta);
+    bi.compute_deidrj_all(de);
     Vec3 f;
-    for (const auto& r : w.rij) {
-      bi.compute_duidrj(r, 1.0);
-      f += bi.compute_deidrj();
-    }
+    for (const auto& d : de) f += d;
     benchmark::DoNotOptimize(f);
   }
 }

@@ -41,13 +41,13 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== [3/7] TSan build + threaded-kernel tests =="
 cmake -B build-tsan -S . -DEMBER_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
-  test_thread_pool test_snap_symmetric_kernel test_md_dynamics \
+  test_thread_pool test_snap_lane_kernel test_md_dynamics \
   test_md_step_loop test_obs_metrics test_obs_trace \
   test_io_embt1 test_io_async_writer test_io_driver_parity \
   test_app_interpreter
 TSAN_OPTIONS="suppressions=$PWD/scripts/suppressions/tsan.supp" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ThreadedForces|ComputeContext|SymmetricKernel|TwoJmaxSweep|Dynamics|CrossDriver|StepLoopTimers|StepLoopTrace|ObsMetrics|ObsTrace|AsyncIo|Embt1'
+  -R 'ThreadPool|ThreadedForces|ComputeContext|SymmetricKernel|SimdKernel|Dynamics|CrossDriver|StepLoopTimers|StepLoopTrace|ObsMetrics|ObsTrace|AsyncIo|Embt1'
 
 echo "== [4/7] bench_record =="
 cmake --build build -j "$JOBS" --target bench_record

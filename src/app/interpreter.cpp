@@ -19,7 +19,6 @@
 #include "ref/pair_lj.hpp"
 #include "ref/pair_morse.hpp"
 #include "ref/pair_tersoff.hpp"
-#include "snap/simd/dispatch.hpp"
 #include "snap/snap_potential.hpp"
 
 namespace ember::app {
@@ -140,7 +139,6 @@ void Interpreter::execute(const std::string& line) {
       {"threads", &Interpreter::cmd_threads},
       {"ranks", &Interpreter::cmd_ranks},
       {"transport", &Interpreter::cmd_transport},
-      {"snap_kernel", &Interpreter::cmd_snap_kernel},
       {"replicas", &Interpreter::cmd_replicas},
       {"trace", &Interpreter::cmd_trace},
       {"metrics", &Interpreter::cmd_metrics},
@@ -199,7 +197,6 @@ void Interpreter::cmd_mass(std::istream& args) {
 
 void Interpreter::cmd_potential(std::istream& args) {
   const auto kind = need<std::string>(args, "potential kind");
-  snap_model_.reset();
   // Stage a factory rather than one object: parallel runs need a
   // rank-private potential per rank (per-thread caches are per-object).
   if (kind == "lj") {
@@ -224,10 +221,6 @@ void Interpreter::cmd_potential(std::istream& args) {
   } else if (kind == "snap") {
     const auto path = need<std::string>(args, "model file");
     snap::SnapModel model = snap::SnapModel::load(path);
-    // `snap_kernel` (before or after this command) overrides whatever
-    // kernel the model file recorded.
-    if (snap_kernel_) model.params.kernel = *snap_kernel_;
-    snap_model_ = model;
     potential_factory_ = [model = std::move(model)] {
       return std::make_shared<snap::SnapPotential>(model);
     };
@@ -418,35 +411,6 @@ void Interpreter::cmd_transport(std::istream& args) {
   const auto kind = need<std::string>(args, "'thread' or 'socket'");
   pending_->transport = comm::transport_kind_from_string(kind);
   out_ << "transport " << comm::to_string(pending_->transport) << "\n";
-}
-
-void Interpreter::cmd_snap_kernel(std::istream& args) {
-  const auto name = need<std::string>(args, "'naive', 'symmetric' or 'simd'");
-  static const std::map<std::string, snap::SnapKernel> kinds = {
-      {"naive", snap::SnapKernel::Naive},
-      {"symmetric", snap::SnapKernel::Symmetric},
-      {"simd", snap::SnapKernel::Simd},
-  };
-  const auto it = kinds.find(name);
-  EMBER_REQUIRE(it != kinds.end(), "unknown snap kernel: " + name);
-  snap_kernel_ = it->second;
-  if (snap_model_) {
-    // A snap potential is already loaded: rebuild it with the new kernel
-    // variant. Any live driver folds its state back first, so the next
-    // `run` continues from the current positions on the new kernel.
-    reclaim_system();
-    snap_model_->params.kernel = it->second;
-    potential_factory_ = [model = *snap_model_] {
-      return std::make_shared<snap::SnapPotential>(model);
-    };
-    potential_ = potential_factory_();
-  }
-  out_ << "snap_kernel " << name;
-  if (it->second == snap::SnapKernel::Simd) {
-    out_ << " (dispatch " << snap::simd::to_string(snap::simd::choose_isa())
-         << ")";
-  }
-  out_ << "\n";
 }
 
 void Interpreter::cmd_replicas(std::istream& args) {

@@ -32,11 +32,6 @@
 // thread ranks share this process, socket ranks are forked OS processes
 // (log output then appears on the process stdout, written by rank 0).
 // The default honours EMBER_TRANSPORT.
-// `snap_kernel naive|symmetric|simd` selects the SNAP force-kernel
-// variant (V8 `simd` dispatches AVX-512/AVX2/scalar at runtime; the
-// EMBER_SIMD environment variable can lower the ISA). It applies to the
-// next `potential snap` and rebuilds an already-loaded snap potential
-// in place.
 // Barostats only work in the default serial mode (per-rank virials and
 // fixed per-replica boxes make box coupling unsound elsewhere).
 //
@@ -60,7 +55,6 @@
 
 #include "md/batched.hpp"
 #include "md/simulation.hpp"
-#include "snap/snap_potential.hpp"
 
 namespace ember::app {
 
@@ -104,7 +98,6 @@ class Interpreter {
   void cmd_threads(std::istream& args);
   void cmd_ranks(std::istream& args);
   void cmd_transport(std::istream& args);
-  void cmd_snap_kernel(std::istream& args);
   void cmd_replicas(std::istream& args);
   void cmd_trace(std::istream& args);
   void cmd_metrics(std::istream& args);
@@ -131,10 +124,6 @@ class Interpreter {
   // Builds a fresh potential instance; the parallel driver needs
   // rank-private potentials (per-thread caches are per-object).
   std::function<std::shared_ptr<md::PairPotential>()> potential_factory_;
-  // Set when the current potential is SNAP, so `snap_kernel` can rebuild
-  // it with a different kernel variant without reloading the model file.
-  std::optional<snap::SnapModel> snap_model_;
-  std::optional<snap::SnapKernel> snap_kernel_;  // override for snap loads
   std::unique_ptr<md::Simulation> sim_;
   std::unique_ptr<md::BatchedSimulation> batch_;
   std::vector<md::System> staged_replicas_;  // from a batch checkpoint

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <ctime>
 #include <span>
 
 namespace ember {
@@ -29,6 +30,25 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
+};
+
+// CPU time of the calling thread. Unlike WallTimer it leaves out the time
+// the thread spends descheduled, so serial work can be compared on a
+// loaded machine.
+class ThreadCpuTimer {
+ public:
+  ThreadCpuTimer() : start_(now()) {}
+
+  [[nodiscard]] double seconds() const { return now() - start_; }
+
+ private:
+  static double now() {
+    timespec t{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+    return static_cast<double>(t.tv_sec) +
+           1e-9 * static_cast<double>(t.tv_nsec);
+  }
+  double start_;
 };
 
 // The canonical step-time taxonomy (declaration order == report order).

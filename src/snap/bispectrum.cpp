@@ -10,7 +10,10 @@
 namespace ember::snap {
 
 Bispectrum::Bispectrum(const SnapParams& params)
-    : params_(params), idx_(params.twojmax) {
+    : params_(params),
+      idx_(params.twojmax),
+      simd_isa_(simd::choose_isa()),
+      ops_(simd::ops_for(simd_isa_)) {
   const int tj = params_.twojmax;
   EMBER_REQUIRE(params_.rcut > params_.rmin0, "rcut must exceed rmin0");
 
@@ -27,46 +30,22 @@ Bispectrum::Bispectrum(const SnapParams& params)
   dulist_raw_.resize(idx_.u_total());
   dulist_.resize(idx_.u_total());
   zlist_.resize(idx_.z_total());
-  ylist_.resize(idx_.u_total());
   blist_.resize(idx_.num_b());
   dblist_.resize(idx_.num_b());
 
-  if (params_.kernel == SnapKernel::Simd) {
-    // Resolve the backend once per instance: CPUID capability clamped by
-    // EMBER_SIMD. With no vector backend (non-x86, EMBER_SIMD=scalar) the
-    // instance runs the Symmetric code path unchanged.
-    simd_isa_ = simd::choose_isa();
-    simd_ops_ = simd::ops_for(simd_isa_);
-    if (simd_ops_ == nullptr) simd_isa_ = simd::SimdIsa::Scalar;
+  const int nh = idx_.u_half_total();
+  const std::size_t w = static_cast<std::size_t>(ops_.width);
+  utot_half_re_.resize(nh);
+  utot_half_im_.resize(nh);
+  y_half_re_.resize(nh);
+  y_half_im_.resize(nh);
+  lane_acc_re_.resize(static_cast<std::size_t>(nh) * w);
+  lane_acc_im_.resize(static_cast<std::size_t>(nh) * w);
+  for (int d = 0; d < 3; ++d) {
+    lane_du_re_[d].resize(static_cast<std::size_t>(nh) * w);
+    lane_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
   }
-
-  if (half_kernel()) {
-    const int nh = idx_.u_half_total();
-    utot_half_re_.resize(nh);
-    utot_half_im_.resize(nh);
-    y_half_re_.resize(nh);
-    y_half_im_.resize(nh);
-    for (int d = 0; d < 3; ++d) {
-      du_half_re_[d].resize(nh);
-      du_half_im_[d].resize(nh);
-    }
-  }
-
-  if (simd_active()) {
-    const int nh = idx_.u_half_total();
-    const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
-    simd_ck_.resize(static_cast<std::size_t>(simd::kCkSlots) * w);
-    simd_wfc_.resize(w);
-    simd_acc_re_.resize(static_cast<std::size_t>(nh) * w);
-    simd_acc_im_.resize(static_cast<std::size_t>(nh) * w);
-    for (int d = 0; d < 3; ++d) {
-      simd_du_re_[d].resize(static_cast<std::size_t>(nh) * w);
-      simd_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
-    }
-    simd_out_.resize(3 * w);
-    u_gather_re_.resize(nh);
-    u_gather_im_.resize(nh);
-  }
+  lane_out_.resize(3 * w);
 
   // bzero: bispectrum of an isolated atom (self term only), obtained by
   // running the kernel itself on an empty neighbor set. compute_bi_impl
@@ -81,7 +60,7 @@ Bispectrum::Bispectrum(const SnapParams& params)
   }
 }
 
-void Bispectrum::u_recursion(const CayleyKlein& ck, bool with_derivatives) {
+void Bispectrum::u_recursion(const CayleyKlein& ck) {
   const int tj = params_.twojmax;
   const Cplx a = ck.a;
   const Cplx b = ck.b;
@@ -89,7 +68,7 @@ void Bispectrum::u_recursion(const CayleyKlein& ck, bool with_derivatives) {
   const Cplx mbc = -conj(b);
 
   ulist_[0] = {1.0, 0.0};
-  if (with_derivatives) dulist_raw_[0] = DU{};
+  dulist_raw_[0] = DU{};
 
   // Two-term recursion over j (doubled): with row k' = ma, column k = mb,
   //   mb >= 1:  U^j[ma,mb] = sqrt(ma/mb)      a  U^{j-1}[ma-1,mb-1]
@@ -117,12 +96,10 @@ void Bispectrum::u_recursion(const CayleyKlein& ck, bool with_derivatives) {
               rootpq_[static_cast<std::size_t>(ma) * (tj + 1) + denom];
           const Cplx up = ulist_[pblk + (ma - 1) * ps + pcol];
           u += r * (cu * up);
-          if (with_derivatives) {
-            const DU& dup = dulist_raw_[pblk + (ma - 1) * ps + pcol];
-            for (int d = 0; d < 3; ++d) {
-              const Cplx dcu = zero_col ? -conj(ck.db[d]) : ck.da[d];
-              du.d[d] += r * (dcu * up + cu * dup.d[d]);
-            }
+          const DU& dup = dulist_raw_[pblk + (ma - 1) * ps + pcol];
+          for (int d = 0; d < 3; ++d) {
+            const Cplx dcu = zero_col ? -conj(ck.db[d]) : ck.da[d];
+            du.d[d] += r * (dcu * up + cu * dup.d[d]);
           }
         }
         if (ma < j) {
@@ -130,60 +107,14 @@ void Bispectrum::u_recursion(const CayleyKlein& ck, bool with_derivatives) {
               rootpq_[static_cast<std::size_t>(j - ma) * (tj + 1) + denom];
           const Cplx up = ulist_[pblk + ma * ps + pcol];
           u += r * (cd * up);
-          if (with_derivatives) {
-            const DU& dup = dulist_raw_[pblk + ma * ps + pcol];
-            for (int d = 0; d < 3; ++d) {
-              const Cplx dcd = zero_col ? conj(ck.da[d]) : ck.db[d];
-              du.d[d] += r * (dcd * up + cd * dup.d[d]);
-            }
+          const DU& dup = dulist_raw_[pblk + ma * ps + pcol];
+          for (int d = 0; d < 3; ++d) {
+            const Cplx dcd = zero_col ? conj(ck.da[d]) : ck.db[d];
+            du.d[d] += r * (dcd * up + cd * dup.d[d]);
           }
         }
         ulist_[blk + ma * cs + mb] = u;
-        if (with_derivatives) dulist_raw_[blk + ma * cs + mb] = du;
-      }
-    }
-  }
-}
-
-void Bispectrum::u_half_recursion(const CayleyKlein& ck, double* ur,
-                                  double* ui) const {
-  const int tj = params_.twojmax;
-  ur[0] = 1.0;
-  ui[0] = 0.0;
-  // Columns with 2*mb <= j only: column mb of level j reads column mb-1
-  // (or 0) of level j-1, which the previous level's half range contains
-  // (mb - 1 <= j/2 - 1 <= (j-1)/2), so the half recursion is closed.
-  for (int j = 1; j <= tj; ++j) {
-    const int blk = idx_.u_half_block(j);
-    const int pblk = idx_.u_half_block(j - 1);
-    const int hs = j / 2 + 1;        // current half row stride
-    const int phs = (j - 1) / 2 + 1; // previous half row stride
-    for (int mb = 0; mb <= j / 2; ++mb) {
-      const bool zc = (mb == 0);
-      const Cplx cu = zc ? -conj(ck.b) : ck.a;
-      const Cplx cd = zc ? conj(ck.a) : ck.b;
-      const int pcol = zc ? 0 : mb - 1;
-      const int denom = zc ? j : mb;
-      for (int ma = 0; ma <= j; ++ma) {
-        double vre = 0.0;
-        double vim = 0.0;
-        if (ma > 0) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(ma) * (tj + 1) + denom];
-          const int p = pblk + (ma - 1) * phs + pcol;
-          vre += r * (cu.re * ur[p] - cu.im * ui[p]);
-          vim += r * (cu.re * ui[p] + cu.im * ur[p]);
-        }
-        if (ma < j) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(j - ma) * (tj + 1) + denom];
-          const int p = pblk + ma * phs + pcol;
-          vre += r * (cd.re * ur[p] - cd.im * ui[p]);
-          vim += r * (cd.re * ui[p] + cd.im * ur[p]);
-        }
-        const int e = blk + ma * hs + mb;
-        ur[e] = vre;
-        ui[e] = vim;
+        dulist_raw_[blk + ma * cs + mb] = du;
       }
     }
   }
@@ -210,30 +141,82 @@ void Bispectrum::mirror_half_to_full(const double* hre, const double* him,
   }
 }
 
-void Bispectrum::compute_ui_symmetric(std::span<const Vec3> rij,
-                                      std::span<const double> wj) {
+void Bispectrum::pack_ck_lane(double* slots, int lane, const CayleyKlein& ck,
+                              double wj) const {
+  const int width = ops_.width;
+  double* s = slots + lane;
+  s[simd::kCkARe * width] = ck.a.re;
+  s[simd::kCkAIm * width] = ck.a.im;
+  s[simd::kCkBRe * width] = ck.b.re;
+  s[simd::kCkBIm * width] = ck.b.im;
+  for (int d = 0; d < 3; ++d) {
+    s[(simd::kCkDaRe0 + d) * width] = ck.da[d].re;
+    s[(simd::kCkDaIm0 + d) * width] = ck.da[d].im;
+    s[(simd::kCkDbRe0 + d) * width] = ck.db[d].re;
+    s[(simd::kCkDbIm0 + d) * width] = ck.db[d].im;
+    s[(simd::kCkDfc0 + d) * width] = ck.dfc[d];
+  }
+  s[simd::kCkFc * width] = ck.fc;
+  s[simd::kCkW * width] = wj;
+}
+
+void Bispectrum::compute_ui(std::span<const Vec3> rij,
+                            std::span<const double> wj) {
+  EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
+                "weight array size mismatch");
+  have_z_ = false;
   const int nh = idx_.u_half_total();
   const int nn = static_cast<int>(rij.size());
+  const int w = ops_.width;
+  const std::size_t plane = static_cast<std::size_t>(nh) * w;
+  const std::size_t ck_block = static_cast<std::size_t>(simd::kCkSlots) * w;
   nnbor_cached_ = nn;
-  ck_cache_.resize(nn);
-  wj_cache_.resize(nn);
-  ucache_re_.resize(static_cast<std::size_t>(nn) * nh);
-  ucache_im_.resize(static_cast<std::size_t>(nn) * nh);
-  std::fill(utot_half_re_.begin(), utot_half_re_.end(), 0.0);
-  std::fill(utot_half_im_.begin(), utot_half_im_.end(), 0.0);
+  const int nblk = (nn + w - 1) / w;
+  lane_ck_.resize(static_cast<std::size_t>(nblk) * ck_block);
+  ucache_re_.resize(static_cast<std::size_t>(nblk) * plane);
+  ucache_im_.resize(static_cast<std::size_t>(nblk) * plane);
+  std::fill(lane_acc_re_.begin(), lane_acc_re_.end(), 0.0);
+  std::fill(lane_acc_im_.begin(), lane_acc_im_.end(), 0.0);
+  EMBER_CHECK(EMBER_REQUIRE(
+      is_aligned(ucache_re_.data()) && is_aligned(ucache_im_.data()) &&
+          is_aligned(lane_acc_re_.data()) && is_aligned(lane_acc_im_.data()),
+      "SNAP lane-kernel planes must be 64-byte aligned"));
 
-  for (int k = 0; k < nn; ++k) {
-    ck_cache_[k] = map_to_sphere(rij[k], params_.rcut, params_.rfac0,
-                                 params_.rmin0, params_.switch_flag);
-    wj_cache_[k] = wj.empty() ? 1.0 : wj[k];
-    double* ur = ucache_re_.data() + static_cast<std::size_t>(k) * nh;
-    double* ui = ucache_im_.data() + static_cast<std::size_t>(k) * nh;
-    u_half_recursion(ck_cache_[k], ur, ui);
-    const double w = wj_cache_[k] * ck_cache_[k].fc;
-    for (int e = 0; e < nh; ++e) {
-      utot_half_re_[e] += w * ur[e];
-      utot_half_im_[e] += w * ui[e];
+  for (int b = 0; b < nblk; ++b) {
+    double* slots = lane_ck_.data() + static_cast<std::size_t>(b) * ck_block;
+    for (int lane = 0; lane < w; ++lane) {
+      // Padded lanes repeat the last neighbor's mapping with weight 0: the
+      // recursion stays finite and their contributions vanish.
+      const int k = std::min(b * w + lane, nn - 1);
+      const double wk = b * w + lane < nn ? (wj.empty() ? 1.0 : wj[k]) : 0.0;
+      pack_ck_lane(slots, lane,
+                   map_to_sphere(rij[k], params_.rcut, params_.rfac0,
+                                 params_.rmin0, params_.switch_flag),
+                   wk);
     }
+    simd::UiBlockArgs args;
+    args.twojmax = params_.twojmax;
+    args.half_block = idx_.u_half_block_data();
+    args.nh = nh;
+    args.rootpq = rootpq_.data();
+    args.ck = slots;
+    args.ur = ucache_re_.data() + static_cast<std::size_t>(b) * plane;
+    args.ui = ucache_im_.data() + static_cast<std::size_t>(b) * plane;
+    args.acc_re = lane_acc_re_.data();
+    args.acc_im = lane_acc_im_.data();
+    ops_.ui_block(args);
+  }
+
+  // Reduce the lane accumulator into the element-major half planes.
+  for (int e = 0; e < nh; ++e) {
+    double sr = 0.0;
+    double si = 0.0;
+    for (int lane = 0; lane < w; ++lane) {
+      sr += lane_acc_re_[static_cast<std::size_t>(e) * w + lane];
+      si += lane_acc_im_[static_cast<std::size_t>(e) * w + lane];
+    }
+    utot_half_re_[e] = sr;
+    utot_half_im_[e] = si;
   }
 
   // Self contribution on the stored part of the diagonal; the mirrored
@@ -246,129 +229,6 @@ void Bispectrum::compute_ui_symmetric(std::span<const Vec3> rij,
   }
 
   mirror_half_to_full(utot_half_re_.data(), utot_half_im_.data(), utot_);
-}
-
-void Bispectrum::pack_ck_lane(int k0, int lane, int width) {
-  // Padded lanes repeat the last active neighbor's mapping: the recursion
-  // stays finite and the zeroed weight slots erase their contributions.
-  const bool active = k0 + lane < nnbor_cached_;
-  const int k = active ? k0 + lane : nnbor_cached_ - 1;
-  const CayleyKlein& ck = ck_cache_[k];
-  double* s = simd_ck_.data();
-  s[simd::kCkARe * width + lane] = ck.a.re;
-  s[simd::kCkAIm * width + lane] = ck.a.im;
-  s[simd::kCkBRe * width + lane] = ck.b.re;
-  s[simd::kCkBIm * width + lane] = ck.b.im;
-  for (int d = 0; d < 3; ++d) {
-    s[(simd::kCkDaRe0 + d) * width + lane] = ck.da[d].re;
-    s[(simd::kCkDaIm0 + d) * width + lane] = ck.da[d].im;
-    s[(simd::kCkDbRe0 + d) * width + lane] = ck.db[d].re;
-    s[(simd::kCkDbIm0 + d) * width + lane] = ck.db[d].im;
-    s[(simd::kCkDfc0 + d) * width + lane] = ck.dfc[d];
-  }
-  s[simd::kCkFc * width + lane] = ck.fc;
-  s[simd::kCkW * width + lane] = active ? wj_cache_[k] : 0.0;
-  simd_wfc_[lane] = active ? wj_cache_[k] * ck.fc : 0.0;
-}
-
-void Bispectrum::compute_ui_simd(std::span<const Vec3> rij,
-                                 std::span<const double> wj) {
-  const int nh = idx_.u_half_total();
-  const int nn = static_cast<int>(rij.size());
-  const int w = simd_ops_->width;
-  const std::size_t plane = static_cast<std::size_t>(nh) * w;
-  nnbor_cached_ = nn;
-  ck_cache_.resize(nn);
-  wj_cache_.resize(nn);
-  const int nblk = (nn + w - 1) / w;
-  ucache_re_.resize(static_cast<std::size_t>(nblk) * plane);
-  ucache_im_.resize(static_cast<std::size_t>(nblk) * plane);
-  std::fill(simd_acc_re_.begin(), simd_acc_re_.end(), 0.0);
-  std::fill(simd_acc_im_.begin(), simd_acc_im_.end(), 0.0);
-  EMBER_CHECK(EMBER_REQUIRE(
-      is_aligned(ucache_re_.data()) && is_aligned(ucache_im_.data()) &&
-          is_aligned(simd_acc_re_.data()) && is_aligned(simd_acc_im_.data()),
-      "SNAP SIMD planes must be 64-byte aligned"));
-
-  for (int k = 0; k < nn; ++k) {
-    ck_cache_[k] = map_to_sphere(rij[k], params_.rcut, params_.rfac0,
-                                 params_.rmin0, params_.switch_flag);
-    wj_cache_[k] = wj.empty() ? 1.0 : wj[k];
-  }
-
-  for (int b = 0; b < nblk; ++b) {
-    for (int lane = 0; lane < w; ++lane) pack_ck_lane(b * w, lane, w);
-    simd::UiBlockArgs args;
-    args.twojmax = params_.twojmax;
-    args.half_block = idx_.u_half_block_data();
-    args.nh = nh;
-    args.rootpq = rootpq_.data();
-    args.a_re = simd_ck_.data() + simd::kCkARe * w;
-    args.a_im = simd_ck_.data() + simd::kCkAIm * w;
-    args.b_re = simd_ck_.data() + simd::kCkBRe * w;
-    args.b_im = simd_ck_.data() + simd::kCkBIm * w;
-    args.wfc = simd_wfc_.data();
-    args.ur = ucache_re_.data() + static_cast<std::size_t>(b) * plane;
-    args.ui = ucache_im_.data() + static_cast<std::size_t>(b) * plane;
-    args.acc_re = simd_acc_re_.data();
-    args.acc_im = simd_acc_im_.data();
-    simd_ops_->ui_block(args);
-  }
-
-  // Reduce the lane accumulator into the element-major half planes (the
-  // neighbor sum is re-associated across lanes; difference vs Symmetric
-  // is pure summation-order rounding, within the 1e-12 parity budget).
-  for (int e = 0; e < nh; ++e) {
-    double sr = 0.0;
-    double si = 0.0;
-    for (int lane = 0; lane < w; ++lane) {
-      sr += simd_acc_re_[static_cast<std::size_t>(e) * w + lane];
-      si += simd_acc_im_[static_cast<std::size_t>(e) * w + lane];
-    }
-    utot_half_re_[e] = sr;
-    utot_half_im_[e] = si;
-  }
-
-  for (int j = 0; j <= params_.twojmax; ++j) {
-    for (int ma = 0; ma <= j / 2; ++ma) {
-      utot_half_re_[idx_.u_half_index(j, ma, ma)] += params_.wself;
-    }
-  }
-
-  mirror_half_to_full(utot_half_re_.data(), utot_half_im_.data(), utot_);
-}
-
-void Bispectrum::compute_ui(std::span<const Vec3> rij,
-                            std::span<const double> wj) {
-  EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
-                "weight array size mismatch");
-  have_z_ = false;
-
-  if (half_kernel()) {
-    if (simd_active() && !rij.empty()) {
-      compute_ui_simd(rij, wj);
-    } else {
-      compute_ui_symmetric(rij, wj);
-    }
-    return;
-  }
-
-  std::fill(utot_.begin(), utot_.end(), Cplx{});
-
-  // Self contribution: wself on the diagonal of every block.
-  for (int j = 0; j <= params_.twojmax; ++j) {
-    for (int ma = 0; ma <= j; ++ma) {
-      utot_[idx_.u_index(j, ma, ma)] += Cplx{params_.wself, 0.0};
-    }
-  }
-
-  for (std::size_t k = 0; k < rij.size(); ++k) {
-    const CayleyKlein ck = map_to_sphere(rij[k], params_.rcut, params_.rfac0,
-                                         params_.rmin0, params_.switch_flag);
-    u_recursion(ck, /*with_derivatives=*/false);
-    const double w = (wj.empty() ? 1.0 : wj[k]) * ck.fc;
-    for (int i = 0; i < idx_.u_total(); ++i) utot_[i] += w * ulist_[i];
-  }
 }
 
 Cplx Bispectrum::z_element(const ZTriple& t, int ma, int mb) const {
@@ -480,245 +340,84 @@ void Bispectrum::compute_yi_coeffs(std::span<const double> coeffs) {
   EMBER_REQUIRE(coeffs.size() == triples.size(),
                 "coefficient array must have one entry per coupling triple");
 
-  if (half_kernel()) {
-    // Half-column Y sweep: the z element of a dropped column follows the
-    // same conjugation mirror as U, so only 2*mb <= t.j is accumulated.
-    std::fill(y_half_re_.begin(), y_half_re_.end(), 0.0);
-    std::fill(y_half_im_.begin(), y_half_im_.end(), 0.0);
-    for (std::size_t i = 0; i < triples.size(); ++i) {
-      const ZTriple& t = triples[i];
-      const double coeff = coeffs[i];
-      if (coeff == 0.0) continue;
-      const int hblk = idx_.u_half_block(t.j);
-      const int hs = t.j / 2 + 1;
-      for (int ma = 0; ma <= t.j; ++ma) {
-        for (int mb = 0; mb <= t.j / 2; ++mb) {
-          const Cplx z = z_element_aligned(t, ma, mb);
-          const int e = hblk + ma * hs + mb;
-          y_half_re_[e] += coeff * z.re;
-          y_half_im_[e] += coeff * z.im;
-        }
-      }
-    }
-    // Keep the full-range ylist_ mirror valid (energy_from_yi and any
-    // full-range dU contraction read it) ...
-    mirror_half_to_full(y_half_re_.data(), y_half_im_.data(), ylist_);
-    // ... then fold the contraction weights into the half planes, so
-    // compute_deidrj is a pure dot product over the half range.
-    const auto& hw = idx_.half_weights();
-    for (int e = 0; e < idx_.u_half_total(); ++e) {
-      y_half_re_[e] *= hw[e];
-      y_half_im_[e] *= hw[e];
-    }
-    return;
-  }
-
-  std::fill(ylist_.begin(), ylist_.end(), Cplx{});
+  // Half-column Y sweep: the z element of a dropped column follows the
+  // same conjugation mirror as U, so only 2*mb <= t.j is accumulated.
+  std::fill(y_half_re_.begin(), y_half_re_.end(), 0.0);
+  std::fill(y_half_im_.begin(), y_half_im_.end(), 0.0);
   for (std::size_t i = 0; i < triples.size(); ++i) {
     const ZTriple& t = triples[i];
     const double coeff = coeffs[i];
     if (coeff == 0.0) continue;
-    Cplx* y = ylist_.data() + idx_.u_block(t.j);
-    const int n = t.j + 1;
-    for (int ma = 0; ma < n; ++ma) {
-      for (int mb = 0; mb < n; ++mb) {
-        y[ma * n + mb] += coeff * z_element(t, ma, mb);
+    const int hblk = idx_.u_half_block(t.j);
+    const int hs = t.j / 2 + 1;
+    for (int ma = 0; ma <= t.j; ++ma) {
+      for (int mb = 0; mb <= t.j / 2; ++mb) {
+        const Cplx z = z_element_aligned(t, ma, mb);
+        const int e = hblk + ma * hs + mb;
+        y_half_re_[e] += coeff * z.re;
+        y_half_im_[e] += coeff * z.im;
       }
     }
+  }
+  // Fold the contraction weights into the half planes, so the force and
+  // energy contractions are pure dot products over the half range.
+  const auto& hw = idx_.half_weights();
+  for (int e = 0; e < idx_.u_half_total(); ++e) {
+    y_half_re_[e] *= hw[e];
+    y_half_im_[e] *= hw[e];
   }
 }
 
 void Bispectrum::compute_duidrj(const Vec3& rij, double wj) {
   const CayleyKlein ck = map_to_sphere(rij, params_.rcut, params_.rfac0,
                                        params_.rmin0, params_.switch_flag);
-  u_recursion(ck, /*with_derivatives=*/true);
+  u_recursion(ck);
   for (int i = 0; i < idx_.u_total(); ++i) {
     for (int d = 0; d < 3; ++d) {
       dulist_[i].d[d] =
           wj * (ck.dfc[d] * ulist_[i] + ck.fc * dulist_raw_[i].d[d]);
     }
   }
-  du_half_valid_ = false;
-}
-
-void Bispectrum::compute_duidrj_cached(int k) {
-  EMBER_REQUIRE(half_kernel(),
-                "compute_duidrj_cached requires the Symmetric or Simd kernel");
-  EMBER_REQUIRE(k >= 0 && k < nnbor_cached_,
-                "neighbor index outside the cached compute_ui set");
-  const int tj = params_.twojmax;
-  const int nh = idx_.u_half_total();
-  const CayleyKlein& ck = ck_cache_[k];
-  const double* ur = ucache_re_.data() + static_cast<std::size_t>(k) * nh;
-  const double* ui = ucache_im_.data() + static_cast<std::size_t>(k) * nh;
-  if (simd_active()) {
-    // The Simd compute_ui cached bare U lane-interleaved; gather neighbor
-    // k's lane back into a contiguous plane so the scalar derivative
-    // recursion below runs unmodified.
-    const int w = simd_ops_->width;
-    const std::size_t base =
-        static_cast<std::size_t>(k / w) * nh * w + static_cast<std::size_t>(k % w);
-    for (int e = 0; e < nh; ++e) {
-      u_gather_re_[e] = ucache_re_[base + static_cast<std::size_t>(e) * w];
-      u_gather_im_[e] = ucache_im_[base + static_cast<std::size_t>(e) * w];
-    }
-    ur = u_gather_re_.data();
-    ui = u_gather_im_.data();
-  }
-
-  // Derivative-only recursion over the half range: the bare U values the
-  // chain rule needs come from the cache filled by compute_ui, so the
-  // duplicate O(J^3) U recursion of the Naive scheme disappears.
-  for (int d = 0; d < 3; ++d) {
-    du_half_re_[d][0] = 0.0;
-    du_half_im_[d][0] = 0.0;
-  }
-  for (int j = 1; j <= tj; ++j) {
-    const int blk = idx_.u_half_block(j);
-    const int pblk = idx_.u_half_block(j - 1);
-    const int hs = j / 2 + 1;
-    const int phs = (j - 1) / 2 + 1;
-    for (int mb = 0; mb <= j / 2; ++mb) {
-      const bool zc = (mb == 0);
-      const Cplx cu = zc ? -conj(ck.b) : ck.a;
-      const Cplx cd = zc ? conj(ck.a) : ck.b;
-      Cplx dcu[3];
-      Cplx dcd[3];
-      for (int d = 0; d < 3; ++d) {
-        dcu[d] = zc ? -conj(ck.db[d]) : ck.da[d];
-        dcd[d] = zc ? conj(ck.da[d]) : ck.db[d];
-      }
-      const int pcol = zc ? 0 : mb - 1;
-      const int denom = zc ? j : mb;
-      for (int ma = 0; ma <= j; ++ma) {
-        Cplx dv[3]{};
-        if (ma > 0) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(ma) * (tj + 1) + denom];
-          const int p = pblk + (ma - 1) * phs + pcol;
-          const Cplx up{ur[p], ui[p]};
-          for (int d = 0; d < 3; ++d) {
-            const Cplx dup{du_half_re_[d][p], du_half_im_[d][p]};
-            dv[d] += r * (dcu[d] * up + cu * dup);
-          }
-        }
-        if (ma < j) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(j - ma) * (tj + 1) + denom];
-          const int p = pblk + ma * phs + pcol;
-          const Cplx up{ur[p], ui[p]};
-          for (int d = 0; d < 3; ++d) {
-            const Cplx dup{du_half_re_[d][p], du_half_im_[d][p]};
-            dv[d] += r * (dcd[d] * up + cd * dup);
-          }
-        }
-        const int e = blk + ma * hs + mb;
-        for (int d = 0; d < 3; ++d) {
-          du_half_re_[d][e] = dv[d].re;
-          du_half_im_[d][e] = dv[d].im;
-        }
-      }
-    }
-  }
-
-  // Product rule d(w fc u)/dr = w (dfc u + fc du), vectorized per plane.
-  const double w = wj_cache_[k];
-  const double fc = ck.fc;
-  for (int d = 0; d < 3; ++d) {
-    const double dfc = ck.dfc[d];
-    double* dre = du_half_re_[d].data();
-    double* dim = du_half_im_[d].data();
-    for (int e = 0; e < nh; ++e) {
-      dre[e] = w * (dfc * ur[e] + fc * dre[e]);
-      dim[e] = w * (dfc * ui[e] + fc * dim[e]);
-    }
-  }
-  du_half_valid_ = true;
-}
-
-Vec3 Bispectrum::compute_deidrj() const {
-  if (du_half_valid_) {
-    // Half-range contraction: compute_yi pre-folded the half_weight table
-    // into the Y planes, so each dimension is a pure 2-plane dot product.
-    const int nh = idx_.u_half_total();
-    Vec3 de;
-    for (int d = 0; d < 3; ++d) {
-      const double* dre = du_half_re_[d].data();
-      const double* dim = du_half_im_[d].data();
-      double sum = 0.0;
-      for (int e = 0; e < nh; ++e) {
-        sum += y_half_re_[e] * dre[e] + y_half_im_[e] * dim[e];
-      }
-      de[d] = sum;
-    }
-    return de;
-  }
-
-  Vec3 de;
-  for (int i = 0; i < idx_.u_total(); ++i) {
-    const Cplx y = ylist_[i];
-    de.x += re_mul_conj(y, dulist_[i].d[0]);
-    de.y += re_mul_conj(y, dulist_[i].d[1]);
-    de.z += re_mul_conj(y, dulist_[i].d[2]);
-  }
-  // No factor 2: the Y accumulation already contains all three U-slot
-  // dependency paths of every B component (direct + two permuted), so the
-  // full-matrix contraction IS the complete chain rule. (Codes that sum
-  // only half the (ma,mb) range restore the other half with a factor 2 —
-  // the half-range branch above does exactly that through the
-  // half_weight table.)
-  return de;
 }
 
 void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
-  EMBER_REQUIRE(half_kernel(),
-                "compute_deidrj_all requires the Symmetric or Simd kernel");
   EMBER_REQUIRE(static_cast<int>(de.size()) >= nnbor_cached_,
                 "force span smaller than the cached neighbor set");
-  if (!simd_active()) {
-    for (int k = 0; k < nnbor_cached_; ++k) {
-      compute_duidrj_cached(k);
-      de[k] = compute_deidrj();
-    }
-    return;
-  }
-
   const int nh = idx_.u_half_total();
-  const int w = simd_ops_->width;
+  const int w = ops_.width;
   const std::size_t plane = static_cast<std::size_t>(nh) * w;
   const int nblk = (nnbor_cached_ + w - 1) / w;
   EMBER_CHECK(EMBER_REQUIRE(
-      is_aligned(y_half_re_.data()) && is_aligned(simd_du_re_[0].data()),
-      "SNAP SIMD planes must be 64-byte aligned"));
+      is_aligned(y_half_re_.data()) && is_aligned(lane_du_re_[0].data()),
+      "SNAP lane-kernel planes must be 64-byte aligned"));
 
   for (int b = 0; b < nblk; ++b) {
-    for (int lane = 0; lane < w; ++lane) pack_ck_lane(b * w, lane, w);
     simd::DeiBlockArgs args;
     args.twojmax = params_.twojmax;
     args.half_block = idx_.u_half_block_data();
     args.nh = nh;
     args.rootpq = rootpq_.data();
-    args.ck = simd_ck_.data();
+    args.ck = lane_ck_.data() +
+              static_cast<std::size_t>(b) * simd::kCkSlots * w;
     args.ur = ucache_re_.data() + static_cast<std::size_t>(b) * plane;
     args.ui = ucache_im_.data() + static_cast<std::size_t>(b) * plane;
     for (int d = 0; d < 3; ++d) {
-      args.du_re[d] = simd_du_re_[d].data();
-      args.du_im[d] = simd_du_im_[d].data();
+      args.du_re[d] = lane_du_re_[d].data();
+      args.du_im[d] = lane_du_im_[d].data();
     }
     args.y_re = y_half_re_.data();
     args.y_im = y_half_im_.data();
-    args.out = simd_out_.data();
-    simd_ops_->dei_block(args);
+    args.out = lane_out_.data();
+    ops_.dei_block(args);
+    // The Y planes carry the half-range weights (factor 2 for mirrored
+    // columns), so each lane's sum is the complete chain rule.
     const int active = std::min(w, nnbor_cached_ - b * w);
     for (int lane = 0; lane < active; ++lane) {
-      de[b * w + lane] = Vec3{simd_out_[0 * w + lane],
-                              simd_out_[1 * w + lane],
-                              simd_out_[2 * w + lane]};
+      de[b * w + lane] = Vec3{lane_out_[0 * w + lane],
+                              lane_out_[1 * w + lane],
+                              lane_out_[2 * w + lane]};
     }
   }
-  // The lane-interleaved dU scratch is not the scalar half layout; keep
-  // compute_deidrj from reading it.
-  du_half_valid_ = false;
 }
 
 void Bispectrum::compute_dbidrj() {
@@ -755,8 +454,10 @@ void Bispectrum::compute_dbidrj() {
       }
       db += term.scale * part;
     }
-    // Full-matrix contraction of all three chain-rule terms: no factor 2
-    // (see compute_deidrj).
+    // Full-matrix contraction of all three chain-rule terms: no factor 2.
+    // The Y/Z accumulation already contains all three U-slot dependency
+    // paths of every B component (direct + two permuted), so the
+    // full-matrix contraction IS the complete chain rule.
     dblist_[l] = db;
     ++l;
   }
@@ -764,9 +465,11 @@ void Bispectrum::compute_dbidrj() {
 
 double Bispectrum::energy_from_yi(double beta0,
                                   std::span<const double> beta) const {
+  // y_half_* carry the half-range weights, so the half-plane dot product
+  // equals the full-range sum Y : conj(Utot).
   double sum = 0.0;
-  for (int i = 0; i < idx_.u_total(); ++i) {
-    sum += re_mul_conj(ylist_[i], utot_[i]);
+  for (int i = 0; i < idx_.u_half_total(); ++i) {
+    sum += y_half_re_[i] * utot_half_re_[i] + y_half_im_[i] * utot_half_im_[i];
   }
   double e = beta0 + sum / 3.0;
   if (params_.bzero_flag) {
@@ -788,16 +491,14 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
 // A complex multiply counts 6 flops, complex add 2, real*complex 2.
 // Constants below were chosen by counting the operations in the loops; the
 // paper's own numbers come from measured FLOP counters, so these serve the
-// same role (converting measured time into a FLOP rate). The Symmetric
-// kernel counts only the half column range it executes, the mirror
-// expansions, and the recursion-free cached dU pass.
+// same role (converting measured time into a FLOP rate). The adjoint
+// counts cover the half column range the lane kernel executes, the mirror
+// expansion, and the U-recursion-free dU pass.
 
 namespace {
-double z_sweep_flops(const SnapIndex& idx, bool canonical_only,
-                     bool half_columns) {
+double z_sweep_flops(const SnapIndex& idx, bool half_columns) {
   double total = 0.0;
   for (const auto& t : idx.z_triples()) {
-    if (canonical_only && t.j < t.j1) continue;
     const int s = (t.j1 + t.j2 - t.j) / 2;
     const int n = t.j + 1;
     const int mb_max = half_columns ? t.j / 2 : t.j;
@@ -829,23 +530,15 @@ double z_half_outputs(const SnapIndex& idx) {
 }  // namespace
 
 double Bispectrum::flops_ui(int nnbor) const {
-  if (half_kernel()) {
-    // Also the Simd kernel's count: lanes execute the same recursion, and
-    // padded-lane work is *not* counted — fraction-of-peak readouts stay
-    // honest about useful flops.
-    // mapping ~60, half recursion ~22 + accumulation 4 per half element,
-    // plus the one-off mirror expansion (~2 per full element).
-    return static_cast<double>(nnbor) *
-               (60.0 + 26.0 * static_cast<double>(idx_.u_half_total())) +
-           2.0 * static_cast<double>(idx_.u_total());
-  }
-  // mapping ~60, recursion ~22 per element, accumulation 4 per element
+  // mapping ~60, half recursion ~22 + accumulation 4 per half element,
+  // plus the one-off mirror expansion (~2 per full element).
   return static_cast<double>(nnbor) *
-         (60.0 + 26.0 * static_cast<double>(idx_.u_total()));
+             (60.0 + 26.0 * static_cast<double>(idx_.u_half_total())) +
+         2.0 * static_cast<double>(idx_.u_total());
 }
 
 double Bispectrum::flops_zi() const {
-  return z_sweep_flops(idx_, false, false);
+  return z_sweep_flops(idx_, /*half_columns=*/false);
 }
 
 double Bispectrum::flops_bi() const {
@@ -857,14 +550,11 @@ double Bispectrum::flops_bi() const {
 }
 
 double Bispectrum::flops_yi() const {
-  if (half_kernel()) {
-    // half-column z sweep + accumulation into the half planes (4 per
-    // produced element) + mirror into ylist_ (~2 per full element).
-    return z_sweep_flops(idx_, false, true) + 4.0 * z_half_outputs(idx_) +
-           2.0 * static_cast<double>(idx_.u_total());
-  }
-  // z sweep + accumulation into y (4 flops per produced element)
-  return z_sweep_flops(idx_, false, false) + 4.0 * idx_.z_total();
+  // half-column z sweep + accumulation into the half planes (4 per
+  // produced element) + the half-weight fold (2 per half element).
+  return z_sweep_flops(idx_, /*half_columns=*/true) +
+         4.0 * z_half_outputs(idx_) +
+         2.0 * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_duidrj_full() const {
@@ -873,28 +563,14 @@ double Bispectrum::flops_duidrj_full() const {
 }
 
 double Bispectrum::flops_duidrj() const {
-  if (simd_active()) {
-    // V8 fuses the product rule into the contraction (see flops_deidrj);
-    // the dU pass is the bare derivative recursion alone.
-    return 48.0 * static_cast<double>(idx_.u_half_total());
-  }
-  if (half_kernel()) {
-    // cached scheme: no mapping, no U recursion; derivative recursion
-    // (3 dims * 16) + product rule 12, over the half range only.
-    return (48.0 + 12.0) * static_cast<double>(idx_.u_half_total());
-  }
-  return flops_duidrj_full();
+  // The product rule is fused into the contraction (see flops_deidrj);
+  // the dU pass is the bare derivative recursion alone.
+  return 48.0 * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_deidrj() const {
-  if (simd_active()) {
-    // fused pass: S0 (4) + three Sd dots (12) per half element.
-    return 16.0 * static_cast<double>(idx_.u_half_total());
-  }
-  if (half_kernel()) {
-    return 12.0 * static_cast<double>(idx_.u_half_total());
-  }
-  return 12.0 * static_cast<double>(idx_.u_total());
+  // fused pass: S0 (4) + three Sd dots (12) per half element.
+  return 16.0 * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_dbidrj() const {

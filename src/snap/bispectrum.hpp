@@ -12,44 +12,26 @@
 //     Z storage is O(J^5); dB is O(J^5) work per neighbor.
 //
 //   adjoint path (Listing 5, the paper's §IV refactorization):
-//     compute_ui -> compute_yi(beta)
-//                 \-> per neighbor: compute_duidrj -> compute_deidrj
+//     compute_ui -> compute_yi(beta) -> compute_deidrj_all
 //     Y storage is O(J^3); force is O(J^3) work per neighbor.
 //
-// On top of the path choice, the *kernel* variant selects how the adjoint
-// stages are executed (SnapParams::kernel):
+// The adjoint stages run one kernel, the lane kernel of
+// src/snap/simd/kernels_impl.hpp. It computes only the half column range
+// 2*mb <= j (the rest follows from U[j,ma,mb] = (-1)^(ma+mb)
+// conj(U[j,j-ma,j-mb])), keeps U/Y/dU in split re/im planes, and runs
+// the U recursion and the fused dU + Y : conj(dU) pass over blocks of
+// neighbors, one neighbor per lane. compute_ui caches each neighbor's
+// Cayley-Klein mapping and bare U list, so compute_deidrj_all runs the
+// derivative recursion alone. The lane width is chosen at construction
+// from the CPU: 8 (AVX-512), 4 (AVX2) or 1 (portable scalar), and the
+// EMBER_SIMD environment variable can only lower it (see
+// simd/dispatch.hpp).
 //
-//   SnapKernel::Naive      the original full-range scheme: every (ma, mb)
-//                          element is computed and stored, and each
-//                          neighbor's U recursion runs twice (once in
-//                          compute_ui, again inside compute_duidrj).
-//   SnapKernel::Symmetric  the TestSNAP V5-V7 scheme ported to the
-//                          production path: only columns with 2*mb <= j
-//                          are computed (the rest follow from
-//                          U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb])),
-//                          each neighbor's bare U list and Cayley-Klein
-//                          mapping are cached during compute_ui so
-//                          compute_duidrj_cached runs the derivative-only
-//                          recursion, and U/Y/dU live in split re/im
-//                          planes (SoA) so the Y : conj(dU) contractions
-//                          autovectorize. Full-range utot/ylist mirrors
-//                          are still maintained, so the Z/B stages and any
-//                          mixed naive/symmetric stage sequence stay
-//                          valid.
-//   SnapKernel::Simd       the "V8" scheme: the Symmetric half-range math
-//                          executed over blocks of neighbors with explicit
-//                          SIMD, one neighbor per vector lane (4 for AVX2,
-//                          8 for AVX-512; see src/snap/simd/). The backend
-//                          is chosen at construction by a runtime CPUID
-//                          probe clamped by EMBER_SIMD=avx512|avx2|scalar;
-//                          when no vector backend applies (non-x86 builds,
-//                          EMBER_SIMD=scalar) the instance degrades to the
-//                          Symmetric code path exactly, bit for bit.
-//
-// All kernels produce identical results to <= 1e-12 per force component
-// (pinned by tests/snap/test_symmetric_kernel.cpp and
-// tests/snap/test_simd_kernel.cpp); Naive is kept as the correctness
-// oracle.
+// compute_ui also expands the half-range Utot into the full-range utot()
+// mirror, which the Z/B stages and the Y sweep read. The baseline path
+// keeps its own full-range U recursion (compute_duidrj) and is the
+// independent oracle the adjoint kernel is tested against (<= 1e-12 per
+// force component, tests/snap/test_lane_kernel.cpp).
 //
 // The same instance can be reused across atoms (buffers are reset by
 // compute_ui). Instances are NOT thread-safe; create one per thread.
@@ -66,12 +48,6 @@
 
 namespace ember::snap {
 
-enum class SnapKernel {
-  Naive,      // full (ma, mb) range, per-neighbor recursion run twice
-  Symmetric,  // half range + cached neighbor U lists + SoA planes
-  Simd,       // Symmetric math over vector lanes of neighbors (V8)
-};
-
 struct SnapParams {
   int twojmax = 8;        // 2J; paper uses 8 (55 components) and 14 (204)
   double rcut = 4.7;      // neighbor cutoff [A]
@@ -80,7 +56,6 @@ struct SnapParams {
   double wself = 1.0;     // self-contribution weight
   bool switch_flag = true; // apply the smooth cutoff fc(r)
   bool bzero_flag = false; // subtract the isolated-atom bispectrum
-  SnapKernel kernel = SnapKernel::Symmetric;  // production default
 };
 
 // Derivative of the weighted, switched U contribution of one neighbor:
@@ -96,14 +71,13 @@ class Bispectrum {
   [[nodiscard]] const SnapParams& params() const { return params_; }
   [[nodiscard]] const SnapIndex& index() const { return idx_; }
   [[nodiscard]] int num_b() const { return idx_.num_b(); }
-  [[nodiscard]] SnapKernel kernel() const { return params_.kernel; }
 
   // ---- stage kernels ----
 
   // Accumulate Utot over neighbors (positions relative to the central
-  // atom, all with |rij| < rcut) plus the self term. Under the Symmetric
-  // kernel this also fills the per-neighbor Cayley-Klein and bare-U
-  // caches consumed by compute_duidrj_cached.
+  // atom, all with |rij| < rcut) plus the self term, with the lane
+  // kernel. Also fills the per-neighbor Cayley-Klein and bare-U caches
+  // consumed by compute_deidrj_all.
   void compute_ui(std::span<const Vec3> rij, std::span<const double> wj);
 
   // Baseline: compute and store every coupled Z matrix (O(J^5) memory).
@@ -123,38 +97,19 @@ class Bispectrum {
   // out of the per-atom loop entirely.
   void compute_yi_coeffs(std::span<const double> coeffs);
 
-  // Per-neighbor derivative d(w fc u)/dr for the given displacement;
-  // fills the internal dU buffer used by the two force kernels below.
-  // Runs the full-range recursion from scratch (Naive scheme); valid
-  // under either kernel.
+  // Baseline: per-neighbor derivative d(w fc u)/dr for the given
+  // displacement, from the full-range recursion run from scratch; fills
+  // the dU buffer compute_dbidrj contracts.
   void compute_duidrj(const Vec3& rij, double wj);
 
-  // Symmetric-kernel fast path: derivative recursion for neighbor k of
-  // the last compute_ui call, reusing its cached Cayley-Klein mapping and
-  // bare U list (half range, no U recomputation). Requires
-  // kernel == Symmetric or Simd (under Simd the lane-interleaved bare-U
-  // cache is gathered back into a contiguous scratch first).
-  void compute_duidrj_cached(int k);
-
-  // Number of neighbors cached by the last Symmetric/Simd compute_ui.
-  [[nodiscard]] int cached_neighbors() const { return nnbor_cached_; }
-
-  // Blocked dU + dE pass over every neighbor cached by the last
-  // compute_ui: de[k] = dE_i/dr_k. Requires compute_yi/compute_yi_coeffs.
-  // Under an active SIMD backend each block of lane_width neighbors runs
-  // the derivative recursion and the fused Y : conj(dU) contraction in
-  // vector registers; otherwise this is exactly the per-neighbor
-  // compute_duidrj_cached + compute_deidrj loop.
+  // Adjoint: blocked dU + dE pass over every neighbor of the last
+  // compute_ui: de[k] = dE_i/dr_k = Y : conj(dU_k). Requires
+  // compute_yi/compute_yi_coeffs. Each block of lane-width neighbors runs
+  // the derivative recursion and the fused contraction in registers.
   void compute_deidrj_all(std::span<Vec3> de);
 
-  // ISA the Simd kernel dispatched to at construction (Scalar when the
-  // kernel is not Simd or no vector backend applies).
+  // ISA the lane kernel dispatched to at construction.
   [[nodiscard]] simd::SimdIsa simd_isa() const { return simd_isa_; }
-
-  // Adjoint force kernel: dE_i/dr_k = 2 Re sum_j Y_j : conj(dU_j).
-  // Contracts over whichever dU form the last compute_duidrj* call
-  // produced (full range, or weighted half range).
-  [[nodiscard]] Vec3 compute_deidrj() const;
 
   // Baseline force kernel: dB_l/dr_k for every canonical triple
   // (requires compute_zi and compute_duidrj).
@@ -164,7 +119,6 @@ class Bispectrum {
   [[nodiscard]] std::span<const double> blist() const { return blist_; }
   [[nodiscard]] std::span<const Vec3> dblist() const { return dblist_; }
   [[nodiscard]] std::span<const Cplx> utot() const { return utot_; }
-  [[nodiscard]] std::span<const Cplx> ylist() const { return ylist_; }
   [[nodiscard]] std::span<const Cplx> zlist() const { return zlist_; }
   [[nodiscard]] std::span<const DU> dulist() const { return dulist_; }
 
@@ -174,16 +128,17 @@ class Bispectrum {
                               std::span<const double> beta) const;
 
   // Energy via the adjoint identity sum_j Y_j : conj(U_j) = 3 sum beta.B
-  // (every B component appears through its three U-slot dependency paths);
-  // requires compute_yi with the same beta. Lets the adjoint path skip Z
-  // storage entirely. beta is needed only for the bzero correction.
+  // (every B component appears through its three U-slot dependency paths),
+  // summed over the weight-folded half planes; requires compute_yi with
+  // the same beta. Lets the adjoint path skip Z storage entirely. beta is
+  // needed only for the bzero correction.
   [[nodiscard]] double energy_from_yi(double beta0,
                                       std::span<const double> beta) const;
 
   // ---- analytic FLOP estimates (double-precision mul+add counted as 2) --
-  // All counts reflect the configured kernel: the Symmetric variants count
-  // the halved column range, the cached (recursion-free) dU pass, and the
-  // mirror expansions, so reported FLOP rates stay honest for both.
+  // The adjoint counts follow the lane kernel: the halved column range,
+  // the cached (U-recursion-free) dU pass and the mirror expansion.
+  // Padded lanes are not counted.
   [[nodiscard]] double flops_ui(int nnbor) const;
   [[nodiscard]] double flops_zi() const;
   [[nodiscard]] double flops_bi() const;
@@ -196,35 +151,15 @@ class Bispectrum {
   [[nodiscard]] double flops_adjoint_atom(int nnbor) const;
 
  private:
-  // Single-neighbor U recursion into ulist_; optionally also the
+  // Baseline single-neighbor full-range U recursion into ulist_, with the
   // derivative recursion into dulist_raw_ (du of the bare u, before the
   // fc/weight product rule).
-  void u_recursion(const CayleyKlein& ck, bool with_derivatives);
+  void u_recursion(const CayleyKlein& ck);
 
-  // Symmetric kernel: bare half-range U recursion into split re/im planes
-  // (compact half layout, u_half_total elements).
-  void u_half_recursion(const CayleyKlein& ck, double* ur, double* ui) const;
-
-  // Symmetric kernel: accumulate + cache + mirror variant of compute_ui.
-  void compute_ui_symmetric(std::span<const Vec3> rij,
-                            std::span<const double> wj);
-
-  // Simd kernel: lane-blocked variant; fills the lane-interleaved bare-U
-  // cache and reduces the lane accumulator into the half planes.
-  void compute_ui_simd(std::span<const Vec3> rij, std::span<const double> wj);
-
-  // True when this instance dispatched to a vector backend (kernel ==
-  // Simd and the CPU/binary/EMBER_SIMD resolution picked AVX2/AVX-512).
-  [[nodiscard]] bool simd_active() const { return simd_ops_ != nullptr; }
-
-  // True for the kernels built on the half-range SoA planes.
-  [[nodiscard]] bool half_kernel() const {
-    return params_.kernel != SnapKernel::Naive;
-  }
-
-  // Pack lane l of the block starting at neighbor k0 into simd_ck_ /
-  // simd_wfc_ (padded lanes repeat the last active neighbor, weight 0).
-  void pack_ck_lane(int k0, int lane, int width);
+  // Pack one neighbor's mapping and weight into lane `lane` of the block
+  // slots `slots` (kCkSlots x width).
+  void pack_ck_lane(double* slots, int lane, const CayleyKlein& ck,
+                    double wj) const;
 
   // Expand a half-layout SoA plane pair into a full-range Cplx array via
   // the conjugation mirror.
@@ -233,8 +168,8 @@ class Bispectrum {
 
   // z-matrix element (row ma, col mb) of coupling triple t, from utot_.
   [[nodiscard]] Cplx z_element(const ZTriple& t, int ma, int mb) const;
-  // Same value through the unit-stride aligned CG blocks (Symmetric
-  // kernel's Y sweep).
+  // Same value through the unit-stride aligned CG blocks (the adjoint
+  // Y sweep).
   [[nodiscard]] Cplx z_element_aligned(const ZTriple& t, int ma,
                                        int mb) const;
 
@@ -246,49 +181,35 @@ class Bispectrum {
   SnapIndex idx_;
   std::vector<double> rootpq_;  // rootpq_[p*(tj+1)+q] = sqrt(p/q)
 
-  std::vector<Cplx> utot_;
-  std::vector<Cplx> ulist_;      // per-neighbor scratch
+  std::vector<Cplx> utot_;       // full-range mirror of utot_half_*
+  std::vector<Cplx> ulist_;      // per-neighbor scratch (baseline)
   std::vector<DU> dulist_raw_;   // per-neighbor du (bare u)
   std::vector<DU> dulist_;       // d(w fc u)/dr
   std::vector<Cplx> zlist_;
-  std::vector<Cplx> ylist_;
   std::vector<double> blist_;
   std::vector<Vec3> dblist_;
   std::vector<double> bzero_;
   bool have_z_ = false;
 
-  // ---- Symmetric/Simd-kernel state (half layout, SoA planes) ----
-  // All planes are 64-byte aligned (aligned_vector) so the V8 backend can
-  // issue aligned vector loads; the Symmetric scalar code is indifferent.
-  std::vector<CayleyKlein> ck_cache_;   // per-neighbor mapping (V7)
-  std::vector<double> wj_cache_;        // per-neighbor weights
-  aligned_vector<double> ucache_re_;    // bare U cache (V7): Symmetric
-  aligned_vector<double> ucache_im_;    //   nnbor x nh element-major, Simd
-                                        //   nblock x nh x width interleaved
-  aligned_vector<double> utot_half_re_; // half-range accumulation (V5/V6)
+  // ---- lane-kernel state (half layout, SoA planes) ----
+  // All planes are 64-byte aligned (aligned_vector) so the vector widths
+  // issue aligned loads.
+  simd::SimdIsa simd_isa_;
+  const simd::SimdOps& ops_;
+  aligned_vector<double> lane_ck_;      // nblock x kCkSlots x width CK
+  aligned_vector<double> ucache_re_;    // bare U, nblock x nh x width
+  aligned_vector<double> ucache_im_;    //   lane-interleaved
+  aligned_vector<double> utot_half_re_; // half-range Utot
   aligned_vector<double> utot_half_im_;
-  aligned_vector<double> y_half_re_;    // half-range adjoint (V5/V6)
+  aligned_vector<double> y_half_re_;    // half-range Y, weight-folded
   aligned_vector<double> y_half_im_;
-  aligned_vector<double> du_half_re_[3]; // half-range d(w fc u)/dr (V6)
-  aligned_vector<double> du_half_im_[3];
   std::vector<double> yi_coeff_scratch_;  // per-triple beta fold
   int nnbor_cached_ = 0;
-  // Which form the last compute_duidrj* call produced: half planes
-  // (cached) or the full dulist_.
-  bool du_half_valid_ = false;
-
-  // ---- Simd-kernel state (V8) ----
-  simd::SimdIsa simd_isa_ = simd::SimdIsa::Scalar;
-  const simd::SimdOps* simd_ops_ = nullptr;  // nullptr => Symmetric path
-  aligned_vector<double> simd_ck_;       // kCkSlots x width lane-packed CK
-  aligned_vector<double> simd_wfc_;      // wj * fc per lane (0 when padded)
-  aligned_vector<double> simd_acc_re_;   // lane-interleaved Utot accum
-  aligned_vector<double> simd_acc_im_;
-  aligned_vector<double> simd_du_re_[3]; // lane-interleaved dU scratch
-  aligned_vector<double> simd_du_im_[3];
-  aligned_vector<double> simd_out_;      // 3 x width force lanes
-  aligned_vector<double> u_gather_re_;   // contiguous single-neighbor U
-  aligned_vector<double> u_gather_im_;   //   (compute_duidrj_cached compat)
+  aligned_vector<double> lane_acc_re_;  // lane-interleaved Utot accum
+  aligned_vector<double> lane_acc_im_;
+  aligned_vector<double> lane_du_re_[3]; // lane-interleaved dU scratch
+  aligned_vector<double> lane_du_im_[3];
+  aligned_vector<double> lane_out_;     // 3 x width force lanes
 };
 
 }  // namespace ember::snap

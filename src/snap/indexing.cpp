@@ -7,7 +7,8 @@
 namespace ember::snap {
 
 SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
-  EMBER_REQUIRE(twojmax >= 0 && twojmax <= 24, "twojmax out of supported range");
+  EMBER_REQUIRE(twojmax >= 0 && twojmax <= kMaxTwojmax,
+                "twojmax out of supported range");
 
   // U blocks.
   u_block_.resize(twojmax + 1);

@@ -38,8 +38,8 @@ struct ZTriple {
 // left-half columns stand in for their mirror (weight 2); on the middle
 // column of even j the rows above the diagonal carry the mirror (2), the
 // diagonal element is its own mirror (1), and the rows below are redundant
-// (0). Shared by the TestSNAP V5..V7 variants and the production
-// Symmetric kernel.
+// (0). Shared by the TestSNAP V5..V7 variants and the production lane
+// kernel.
 constexpr double half_weight(int j, int ma, int mb) {
   if (2 * mb < j) return 2.0;
   if (2 * ma < j) return 2.0;
@@ -52,6 +52,9 @@ struct BTriple {
   int j2 = 0;
   int j = 0;  // j >= j1 >= j2
 };
+
+// Largest supported 2J.
+inline constexpr int kMaxTwojmax = 24;
 
 class SnapIndex {
  public:
@@ -66,7 +69,7 @@ class SnapIndex {
     return u_block_[j] + ma * (j + 1) + mb;
   }
 
-  // ---- half-range U storage (Symmetric kernel) ----
+  // ---- half-range U storage (adjoint lane kernel) ----
   // Block j keeps only the columns with 2*mb <= j: (j+1) rows of
   // (j/2 + 1) columns, row-major. The dropped columns are recovered via
   // U[j, ma, mb] = (-1)^(ma+mb) conj(U[j, j-ma, j-mb]).

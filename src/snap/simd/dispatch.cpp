@@ -76,24 +76,25 @@ SimdIsa choose_isa() {
   return static_cast<int>(requested) < static_cast<int>(cap) ? requested : cap;
 }
 
-const SimdOps* ops_for(SimdIsa isa) {
+const SimdOps& ops_for(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::Scalar:
-      return nullptr;
+      return scalar_ops();
     case SimdIsa::Avx2:
 #if defined(EMBER_SNAP_HAVE_AVX2)
-      return &avx2_ops();
+      return avx2_ops();
 #else
-      return nullptr;
+      break;
 #endif
     case SimdIsa::Avx512:
 #if defined(EMBER_SNAP_HAVE_AVX512)
-      return &avx512_ops();
+      return avx512_ops();
 #else
-      return nullptr;
+      break;
 #endif
   }
-  return nullptr;
+  throw Error(std::string("SNAP lane kernel: no ") + to_string(isa) +
+              " backend in this build");
 }
 
 }  // namespace ember::snap::simd

@@ -1,25 +1,25 @@
 #pragma once
 
-// Runtime ISA dispatch for the SNAP "V8" SIMD kernels.
+// Runtime ISA dispatch for the SNAP lane kernel.
 //
-// The Simd kernel variant batches the Wigner-U recursion and the Y : dU*
-// adjoint contraction over blocks of neighbors, one neighbor per vector
-// lane (4 for AVX2, 8 for AVX-512). Which backend runs is decided at
-// runtime:
+// The production adjoint kernel batches the Wigner-U recursion and the
+// Y : dU* contraction over blocks of neighbors, one neighbor per vector
+// lane. It is one width-generic template (kernels_impl.hpp) instantiated
+// at three widths: 8 (AVX-512), 4 (AVX2) and 1 (Scalar, portable C++).
+// Which width runs is decided once per Bispectrum, at construction:
 //
 //   max_supported_isa()  CPUID probe of the executing machine, clamped to
 //                        the backends this binary was built with (non-x86
-//                        builds compile neither and always report Scalar).
+//                        builds compile neither vector TU and always
+//                        report Scalar).
 //   choose_isa()         max_supported_isa() further clamped by the
 //                        EMBER_SIMD environment variable
 //                        ("avx512" | "avx2" | "scalar"); unknown values
 //                        throw. The override can only lower the ISA —
 //                        requesting AVX-512 on an AVX2 host yields AVX2.
 //
-// Scalar means "no SimdOps table": Bispectrum then executes the V7
-// Symmetric code path unchanged, so EMBER_SIMD=scalar is bitwise
-// identical to SnapKernel::Symmetric (pinned by
-// tests/snap/test_simd_kernel.cpp).
+// Every ISA has a kernel table; Scalar is the width-1 instantiation, not
+// a separate code path.
 //
 // This header is intrinsics-free; immintrin.h is confined to the
 // kernels_avx*.cpp translation units (enforced by ember_lint's
@@ -28,7 +28,7 @@
 namespace ember::snap::simd {
 
 enum class SimdIsa {
-  Scalar,  // no vector backend; Symmetric code path runs
+  Scalar,  // 1 neighbor lane (portable instantiation)
   Avx2,    // 4 neighbor lanes per 256-bit register
   Avx512,  // 8 neighbor lanes per 512-bit register
 };
@@ -47,8 +47,8 @@ enum class SimdIsa {
 
 struct SimdOps;
 
-// Kernel table for a vector ISA, or nullptr for Scalar (callers fall
-// back to the Symmetric path).
-[[nodiscard]] const SimdOps* ops_for(SimdIsa isa);
+// Kernel table for an ISA. Throws ember::Error for a vector ISA this
+// binary was built without (choose_isa() never returns one).
+[[nodiscard]] const SimdOps& ops_for(SimdIsa isa);
 
 }  // namespace ember::snap::simd

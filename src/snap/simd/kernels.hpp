@@ -1,6 +1,6 @@
 #pragma once
 
-// Argument blocks and the per-ISA kernel table for the V8 SIMD backend.
+// Argument blocks and the per-ISA kernel table of the SNAP lane kernel.
 //
 // Lane layout. A block processes `width` neighbors at once, one per
 // vector lane. Every per-neighbor plane is *lane-interleaved*: the value
@@ -15,13 +15,15 @@
 // the weighted accumulation and their force outputs are ignored.
 //
 // The structs below are plain pointers + sizes so this header needs no
-// intrinsics; the implementations live in kernels_avx2.cpp /
-// kernels_avx512.cpp (the only TUs allowed to include immintrin.h).
+// intrinsics. The implementations are instantiated in kernels_avx512.cpp
+// (width 8), kernels_avx2.cpp (width 4) — the only TUs allowed to include
+// immintrin.h — and kernels_scalar.cpp (width 1, portable C++).
 
 namespace ember::snap::simd {
 
-// Lane-packed Cayley-Klein slots for dei_block: slot s of lane l lives at
-// ck[s * width + l]. da/db derivative slots are indexed by Cartesian dim.
+// Lane-packed Cayley-Klein slots of one block, read by both kernels: slot
+// s of lane l lives at ck[s * width + l]. da/db derivative slots are
+// indexed by Cartesian dim.
 inline constexpr int kCkARe = 0;
 inline constexpr int kCkAIm = 1;
 inline constexpr int kCkBRe = 2;
@@ -44,15 +46,10 @@ struct UiBlockArgs {
   const int* half_block = nullptr;  // u_half_block(j) offsets, twojmax+1
   int nh = 0;                       // u_half_total()
   const double* rootpq = nullptr;   // (twojmax+1)^2 sqrt(p/q) table
-  // width-packed Cayley-Klein parameters of the block's neighbors
-  const double* a_re = nullptr;
-  const double* a_im = nullptr;
-  const double* b_re = nullptr;
-  const double* b_im = nullptr;
-  const double* wfc = nullptr;      // wj * fc per lane (0 on padded lanes)
+  const double* ck = nullptr;       // kCkSlots * width lane-packed slots
   double* ur = nullptr;             // bare-U planes out, nh * width each
   double* ui = nullptr;
-  double* acc_re = nullptr;         // Utot accumulator, += wfc * u
+  double* acc_re = nullptr;         // Utot accumulator, += w * fc * u
   double* acc_im = nullptr;
 };
 
@@ -60,8 +57,8 @@ struct UiBlockArgs {
 // contraction for one block: for each lane l and Cartesian dim d,
 //   out[d * width + l] = w_l * (dfc_dl * S0_l + fc_l * Sd_l)
 // with S0 = sum_e y[e] . u[e] and Sd = sum_e y[e] . du_d[e] over the
-// (weight-folded) half-range Y planes — algebraically identical to the
-// Symmetric kernel's product-rule pass followed by the plane dot product.
+// (weight-folded) half-range Y planes: the product rule
+// d(w fc u) = w (dfc u + fc du) distributed over the Y dot product.
 struct DeiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;
@@ -83,8 +80,10 @@ struct SimdOps {
   void (*dei_block)(const DeiBlockArgs&) = nullptr;
 };
 
-// Defined in the per-ISA TUs; only compiled when the toolchain supports
-// the flags (EMBER_SNAP_HAVE_AVX2 / EMBER_SNAP_HAVE_AVX512).
+// Defined in the per-ISA TUs. The vector tables are only compiled when
+// the toolchain supports the flags (EMBER_SNAP_HAVE_AVX2 /
+// EMBER_SNAP_HAVE_AVX512); the scalar table always is.
+[[nodiscard]] const SimdOps& scalar_ops();
 [[nodiscard]] const SimdOps& avx2_ops();
 [[nodiscard]] const SimdOps& avx512_ops();
 

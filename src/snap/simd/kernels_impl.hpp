@@ -1,26 +1,36 @@
 #pragma once
 
-// Width-generic implementations of the V8 SIMD kernels.
+// The SNAP adjoint lane kernel: the only implementation of the
+// production ui and dei stages.
 //
-// Included only by the per-ISA translation units (kernels_avx2.cpp,
-// kernels_avx512.cpp), each of which supplies a vector wrapper V over its
-// native register type:
+// Each template runs one block of `width` neighbors, one neighbor per
+// lane, over the half column range 2*mb <= j (the other columns follow
+// from U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb])). The half
+// recursion is closed: column mb of level j reads column mb-1 (or 0) of
+// level j-1, and mb - 1 <= j/2 - 1 <= (j-1)/2.
+//
+// Three translation units instantiate the templates, each with a wrapper
+// V over its register type:
+//
+//   kernels_avx512.cpp  width 8  (__m512d)
+//   kernels_avx2.cpp    width 4  (__m256d)
+//   kernels_scalar.cpp  width 1  (double; the portable fallback)
+//
+// V provides:
 //
 //   static constexpr int width;            lanes per register
 //   static V load(const double*);          aligned load
 //   void store_to(double*) const;          aligned store
 //   static V broadcast(double); zero();
 //   static V neg(V);
-//   static V fma(a, b, c)   = a * b + c    (single-rounding FMA)
+//   static V fma(a, b, c)   = a * b + c
 //   static V fmsub(a, b, c) = a * b - c
 //   operators *, +, -  (element-wise)
 //
-// The loop structure deliberately mirrors Bispectrum::u_half_recursion and
-// compute_duidrj_cached statement by statement — the scalar Symmetric code
-// is the reference; only the innermost arithmetic is widened across the
-// neighbor lanes. Keeping the association order identical per lane is what
-// holds Simd-vs-Symmetric parity at <= 1e-12 (the residual difference is
-// pure FMA contraction rounding).
+// The vector widths use single-rounding FMA; width 1 uses a plain
+// multiply-add. Results of the widths differ only by that rounding and
+// by the lane order of the Utot sum, well inside the 1e-12 parity budget
+// against the Baseline (Z/dB) path.
 //
 // This header contains no intrinsics (ember_lint simd-intrinsics-include
 // confines those to the kernels_avx*.cpp TUs).
@@ -40,10 +50,10 @@ void ui_block_impl(const UiBlockArgs& g) {
   V::broadcast(1.0).store_to(ur);
   V::zero().store_to(ui);
 
-  const V are = V::load(g.a_re);
-  const V aim = V::load(g.a_im);
-  const V bre = V::load(g.b_re);
-  const V bim = V::load(g.b_im);
+  const V are = V::load(g.ck + kCkARe * kW);
+  const V aim = V::load(g.ck + kCkAIm * kW);
+  const V bre = V::load(g.ck + kCkBRe * kW);
+  const V bim = V::load(g.ck + kCkBIm * kW);
 
   for (int j = 1; j <= tj; ++j) {
     const int blk = g.half_block[j];
@@ -86,9 +96,9 @@ void ui_block_impl(const UiBlockArgs& g) {
     }
   }
 
-  // Weighted Utot accumulation: acc += wfc * u. Padded lanes carry
-  // wfc = 0, so their recursion output never reaches the accumulator.
-  const V w = V::load(g.wfc);
+  // Weighted Utot accumulation: acc += w * fc * u. Padded lanes carry
+  // w = 0, so their recursion output never reaches the accumulator.
+  const V w = V::load(g.ck + kCkW * kW) * V::load(g.ck + kCkFc * kW);
   for (int e = 0; e < g.nh; ++e) {
     const int o = e * kW;
     V::fma(w, V::load(ur + o), V::load(g.acc_re + o)).store_to(g.acc_re + o);

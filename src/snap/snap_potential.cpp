@@ -1,7 +1,11 @@
 #include "snap_potential.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -58,10 +62,6 @@ void SnapModel::save(const std::string& path) const {
   os << "wself " << params.wself << '\n';
   os << "switch " << (params.switch_flag ? 1 : 0) << '\n';
   os << "bzero " << (params.bzero_flag ? 1 : 0) << '\n';
-  const char* kernel_name = "naive";
-  if (params.kernel == SnapKernel::Symmetric) kernel_name = "symmetric";
-  if (params.kernel == SnapKernel::Simd) kernel_name = "simd";
-  os << "kernel " << kernel_name << '\n';
   os << "beta0 " << beta0 << '\n';
   os << "ncoeff " << beta.size() << '\n';
   for (const double b : beta) os << b << '\n';
@@ -70,114 +70,171 @@ void SnapModel::save(const std::string& path) const {
   EMBER_REQUIRE(os.good(), "model write failed");
 }
 
+namespace {
+// Strict parsing for SnapModel::load: every value is one whole token, and
+// every error names the file and the key.
+[[noreturn]] void model_error(const std::string& path, const std::string& key,
+                              const std::string& what) {
+  throw Error("SNAP model " + path + ": " + key + ": " + what);
+}
+
+template <class T>
+T parse_number(const std::string& tok, const std::string& path,
+               const std::string& key) {
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) model_error(path, key, "'" + tok + "' is not a valid value");
+  return v;
+}
+
+// The value of a `key value` line, which must hold exactly one.
+std::string line_value(std::istringstream& ls, const std::string& path,
+                       const std::string& key) {
+  std::string v;
+  std::string extra;
+  if (!(ls >> v)) model_error(path, key, "missing value");
+  if (ls >> extra) model_error(path, key, "unexpected '" + extra + "'");
+  return v;
+}
+
+bool parse_flag(const std::string& tok, const std::string& path,
+                const std::string& key) {
+  const int v = parse_number<int>(tok, path, key);
+  if (v != 0 && v != 1) model_error(path, key, "must be 0 or 1");
+  return v == 1;
+}
+
+// The n numbers that follow a count line, whitespace separated.
+void read_block(std::istream& is, std::size_t n, std::vector<double>& out,
+                const std::string& path, const std::string& key) {
+  out.reserve(n);
+  std::string tok;
+  while (out.size() < n) {
+    if (!(is >> tok)) {
+      model_error(path, key,
+                  "block truncated after " + std::to_string(out.size()) +
+                      " of " + std::to_string(n) + " values");
+    }
+    out.push_back(parse_number<double>(tok, path, key));
+  }
+}
+
+void check_ncoeff(std::size_t n, int twojmax, const std::string& path) {
+  if (twojmax < 0 || twojmax > kMaxTwojmax) {
+    model_error(path, "twojmax",
+                "must be in [0, " + std::to_string(kMaxTwojmax) + "]");
+  }
+  const auto want = static_cast<std::size_t>(SnapIndex(twojmax).num_b());
+  if (n != want) {
+    model_error(path, "ncoeff",
+                std::to_string(n) + " coefficients, but twojmax " +
+                    std::to_string(twojmax) + " has " + std::to_string(want));
+  }
+}
+}  // namespace
+
 SnapModel SnapModel::load(const std::string& path) {
   std::ifstream is(path);
-  EMBER_REQUIRE(is.good(), "cannot open " + path);
+  if (!is.good()) throw Error("cannot open SNAP model " + path);
   SnapModel m;
+  const std::map<std::string, double*> reals = {
+      {"rcut", &m.params.rcut},   {"rmin0", &m.params.rmin0},
+      {"rfac0", &m.params.rfac0}, {"wself", &m.params.wself},
+      {"beta0", &m.beta0}};
+  const std::map<std::string, bool*> flags = {
+      {"switch", &m.params.switch_flag}, {"bzero", &m.params.bzero_flag}};
   std::string line;
-  std::size_t ncoeff = 0;
   while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
     std::string key;
-    ls >> key;
-    if (key == "twojmax") ls >> m.params.twojmax;
-    else if (key == "rcut") ls >> m.params.rcut;
-    else if (key == "rmin0") ls >> m.params.rmin0;
-    else if (key == "rfac0") ls >> m.params.rfac0;
-    else if (key == "wself") ls >> m.params.wself;
-    else if (key == "switch") { int v; ls >> v; m.params.switch_flag = v != 0; }
-    else if (key == "bzero") { int v; ls >> v; m.params.bzero_flag = v != 0; }
-    else if (key == "kernel") {
-      std::string v;
-      ls >> v;
-      EMBER_REQUIRE(v == "symmetric" || v == "naive" || v == "simd",
-                    "unknown kernel '" + v + "' in " + path);
-      if (v == "simd") m.params.kernel = SnapKernel::Simd;
-      else if (v == "symmetric") m.params.kernel = SnapKernel::Symmetric;
-      else m.params.kernel = SnapKernel::Naive;
-    }
-    else if (key == "beta0") ls >> m.beta0;
-    else if (key == "ncoeff") {
-      ls >> ncoeff;
-      m.beta.reserve(ncoeff);
-      double v = 0.0;
-      while (m.beta.size() < ncoeff && is >> v) m.beta.push_back(v);
+    if (!(ls >> key) || key[0] == '#') continue;
+    const std::string v = line_value(ls, path, key);
+    if (const auto r = reals.find(key); r != reals.end()) {
+      *r->second = parse_number<double>(v, path, key);
+    } else if (const auto fl = flags.find(key); fl != flags.end()) {
+      *fl->second = parse_flag(v, path, key);
+    } else if (key == "twojmax") {
+      m.params.twojmax = parse_number<int>(v, path, key);
+    } else if (key == "ncoeff") {
+      const auto n = parse_number<std::size_t>(v, path, key);
+      if (!m.beta.empty()) model_error(path, key, "appears twice");
+      // Checked before allocating: a corrupt count must not reach
+      // reserve().
+      check_ncoeff(n, m.params.twojmax, path);
+      read_block(is, n, m.beta, path, key);
     } else if (key == "nquad") {
-      std::size_t nquad = 0;
-      ls >> nquad;
-      m.alpha.reserve(nquad);
-      double v = 0.0;
-      while (m.alpha.size() < nquad && is >> v) m.alpha.push_back(v);
+      const auto n = parse_number<std::size_t>(v, path, key);
+      const std::size_t full = m.beta.size() * m.beta.size();
+      if (m.beta.empty()) model_error(path, key, "must follow ncoeff");
+      if (!m.alpha.empty()) model_error(path, key, "appears twice");
+      if (n != 0 && n != full) {
+        model_error(path, key,
+                    "must be 0 or ncoeff^2 = " + std::to_string(full));
+      }
+      read_block(is, n, m.alpha, path, key);
+    } else if (key == "kernel") {
+      // Files written while the adjoint kernel was selectable carry this
+      // key; there is one kernel now, so a known value is ignored.
+      if (v != "naive" && v != "symmetric" && v != "simd") {
+        model_error(path, key, "unknown kernel '" + v + "'");
+      }
+    } else {
+      model_error(path, key, "unknown key");
     }
   }
-  EMBER_REQUIRE(m.beta.size() == ncoeff && ncoeff > 0,
-                "model file truncated: " + path);
+  // Also catches a missing ncoeff block, and a twojmax line after it.
+  check_ncoeff(m.beta.size(), m.params.twojmax, path);
   return m;
 }
 
+SnapPotential::Scratch::Scratch(const SnapModel& model) : bi(model.params) {
+  rij.reserve(kNeighborReserve);
+  jlist.reserve(kNeighborReserve);
+  beta_eff.reserve(model.beta.size());
+  de.reserve(kNeighborReserve);
+}
+
 SnapPotential::SnapPotential(SnapModel model, Path path)
-    : model_(std::move(model)), path_(path), bi_(model_.params) {
-  EMBER_REQUIRE(static_cast<int>(model_.beta.size()) == bi_.num_b(),
+    : model_(std::move(model)), path_(path), main_(model_) {
+  EMBER_REQUIRE(static_cast<int>(model_.beta.size()) == main_.bi.num_b(),
                 "SNAP model has wrong number of coefficients");
   EMBER_REQUIRE(model_.alpha.empty() ||
                     model_.alpha.size() ==
                         model_.beta.size() * model_.beta.size(),
                 "quadratic coefficient block must be num_b x num_b");
   if (!model_.quadratic()) {
-    const auto& triples = bi_.index().z_triples();
+    const auto& triples = main_.bi.index().z_triples();
     y_coeff_.resize(triples.size());
     for (std::size_t t = 0; t < triples.size(); ++t) {
       y_coeff_[t] = model_.beta[triples[t].idxb] * triples[t].beta_scale;
     }
   }
-  rij_.reserve(kNeighborReserve);
-  jlist_.reserve(kNeighborReserve);
-  beta_eff_.reserve(model_.beta.size());
-  de_.reserve(kNeighborReserve);
 
-  if (model_.params.kernel == SnapKernel::Simd) {
-    // Per-ISA stage timing: which backend the dispatcher picked is runtime
-    // state, so the counters are registered here (once) under the resolved
-    // ISA name, and a gauge exposes the lane width for roofline math.
-    const std::string isa = simd::to_string(bi_.simd_isa());
-    auto& reg = obs::Registry::global();
-    isa_ui_seconds_ = &reg.counter("snap.simd." + isa + ".ui_seconds");
-    isa_dei_seconds_ = &reg.counter("snap.simd." + isa + ".dei_seconds");
-    reg.gauge("snap.simd.lane_width")
-        .set(static_cast<double>(simd::lane_width(bi_.simd_isa())));
-  }
+  // The lane width the dispatcher picked is runtime state; a gauge
+  // exposes it for roofline math.
+  obs::Registry::global()
+      .gauge("snap.simd.lane_width")
+      .set(static_cast<double>(simd::lane_width(main_.bi.simd_isa())));
 }
 
 namespace {
-// Per-thread kernel state for workers >= 1 (worker 0 reuses the member
-// scratch, which keeps the serial code path untouched). Lives in the
-// ComputeContext's per-thread cache: the U/Y/dU buffers inside Bispectrum
-// are allocated once per thread and reused across calls.
-struct SnapThreadScratch {
-  Bispectrum bi;
-  std::vector<Vec3> rij;
-  std::vector<int> jlist;
-  std::vector<double> beta_eff;
-  std::vector<Vec3> de;
-};
-
 // Kernel-stage counters, populated only while obs::kernel_timing_enabled()
-// ("trace on"). The dei bucket splits by kernel so the cached symmetric
-// derivative path and the full recursion stay distinguishable in dumps.
+// ("trace on"); one clock per stage.
 struct SnapStageMetrics {
   obs::Counter& ui_seconds;
   obs::Counter& yi_seconds;
   obs::Counter& dei_seconds;
-  obs::Counter& dei_cached_seconds;
   obs::Counter& atoms;
   obs::Counter& neighbors;
   static SnapStageMetrics& get() {
     auto& r = obs::Registry::global();
     static SnapStageMetrics m{
-        r.counter("snap.ui_seconds"),     r.counter("snap.yi_seconds"),
-        r.counter("snap.dei_seconds"),    r.counter("snap.dei_cached_seconds"),
-        r.counter("snap.atoms"),          r.counter("snap.neighbors")};
+        r.counter("snap.ui_seconds"),  r.counter("snap.yi_seconds"),
+        r.counter("snap.dei_seconds"), r.counter("snap.atoms"),
+        r.counter("snap.neighbors")};
     return m;
   }
 };
@@ -196,29 +253,12 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
   ctx.pool().parallel_for(abegin, aend, /*grain=*/8,
                           [&](int tid, int bb, int ee) {
     auto& s = ctx.scratch(tid);
-    Bispectrum* bi = &bi_;
-    std::vector<Vec3>* rij = &rij_;
-    std::vector<int>* jlist = &jlist_;
-    std::vector<double>* beta_eff = &beta_eff_;
-    std::span<Vec3> f{sys.f};
-    std::vector<Vec3>* de_buf = &de_;
-    if (tid != 0) {
-      auto& th = ctx.cache<SnapThreadScratch>(tid, [&] {
-        SnapThreadScratch scratch{Bispectrum(model_.params), {}, {}, {}, {}};
-        scratch.rij.reserve(kNeighborReserve);
-        scratch.jlist.reserve(kNeighborReserve);
-        scratch.beta_eff.reserve(model_.beta.size());
-        scratch.de.reserve(kNeighborReserve);
-        return scratch;
-      });
-      bi = &th.bi;
-      rij = &th.rij;
-      jlist = &th.jlist;
-      beta_eff = &th.beta_eff;
-      de_buf = &th.de;
-      f = std::span<Vec3>(s.f);
-    }
-    const bool cached_du = bi->kernel() != SnapKernel::Naive;
+    Scratch& sc = tid == 0 ? main_ : ctx.cache<Scratch>(tid, [&] {
+      return Scratch(model_);
+    });
+    Bispectrum& bi = sc.bi;
+    const std::span<Vec3> f = tid == 0 ? std::span<Vec3>(sys.f)
+                                       : std::span<Vec3>(s.f);
     // Stage timing is opt-in ("trace on" / set_kernel_timing): the flag is
     // read once per chunk, stage seconds accumulate in chunk-local doubles
     // and hit the sharded counters once per chunk, so the cost when off is
@@ -229,20 +269,20 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
     WallTimer stage;
 
     for (int i = bb; i < ee; ++i) {
-      rij->clear();
-      jlist->clear();
+      sc.rij.clear();
+      sc.jlist.clear();
       for (const auto& en : nl.neighbors(i)) {
         const Vec3 d = sys.x[en.j] + en.shift - sys.x[i];
         if (d.norm2() < rc2) {
-          rij->push_back(d);
-          jlist->push_back(en.j);
+          sc.rij.push_back(d);
+          sc.jlist.push_back(en.j);
         }
       }
 
       if (detail) stage.reset();
-      bi->compute_ui(*rij, {});
+      bi.compute_ui(sc.rij, {});
       if (detail) ui_s += stage.seconds();
-      const int nn = static_cast<int>(rij->size());
+      const int nn = static_cast<int>(sc.rij.size());
       atoms += 1;
       neighbors += nn;
 
@@ -252,70 +292,59 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
           // Quadratic models need the descriptors before Y: dE/dB depends
           // on B itself, so compute B and feed the adjoint the per-atom
           // effective coefficients beta + alpha B (LAMMPS quadraticflag).
-          bi->compute_zi();
-          bi->compute_bi();
-          model_.effective_beta(bi->blist(), *beta_eff);
-          bi->compute_yi(*beta_eff);
-          s.energy += model_.site_energy(bi->blist());
+          bi.compute_zi();
+          bi.compute_bi();
+          model_.effective_beta(bi.blist(), sc.beta_eff);
+          bi.compute_yi(sc.beta_eff);
+          s.energy += model_.site_energy(bi.blist());
         } else {
           // Linear: the per-triple coefficient fold was done once at
           // construction.
-          bi->compute_yi_coeffs(y_coeff_);
-          s.energy += bi->energy_from_yi(model_.beta0, model_.beta);
+          bi.compute_yi_coeffs(y_coeff_);
+          s.energy += bi.energy_from_yi(model_.beta0, model_.beta);
         }
         if (detail) {
           yi_s += stage.seconds();
           stage.reset();
         }
-        if (cached_du) {
-          // Blocked dU + dE pass (Symmetric: per-neighbor cached scheme;
-          // Simd: lane-vectorized blocks of neighbors).
-          de_buf->resize(nn);
-          bi->compute_deidrj_all(*de_buf);
-          for (int m = 0; m < nn; ++m) {
-            const Vec3 de = (*de_buf)[m];  // dE_i/dr_k
-            f[(*jlist)[m]] -= de;
-            f[i] += de;
-            s.virial += -dot((*rij)[m], de);
-          }
-        } else {
-          for (int m = 0; m < nn; ++m) {
-            bi->compute_duidrj((*rij)[m], 1.0);
-            const Vec3 de = bi->compute_deidrj();  // dE_i/dr_k
-            f[(*jlist)[m]] -= de;
-            f[i] += de;
-            s.virial += -dot((*rij)[m], de);
-          }
+        // Blocked dU + dE pass over lane-width blocks of neighbors.
+        sc.de.resize(nn);
+        bi.compute_deidrj_all(sc.de);
+        for (int m = 0; m < nn; ++m) {
+          const Vec3 de = sc.de[m];  // dE_i/dr_k
+          f[sc.jlist[m]] -= de;
+          f[i] += de;
+          s.virial += -dot(sc.rij[m], de);
         }
         if (detail) dei_s += stage.seconds();
-        s.flops += bi->flops_adjoint_atom(nn);
+        s.flops += bi.flops_adjoint_atom(nn);
       } else {
         if (detail) stage.reset();
-        bi->compute_zi();
-        bi->compute_bi();
-        s.energy += model_.site_energy(bi->blist());
-        model_.effective_beta(bi->blist(), *beta_eff);
+        bi.compute_zi();
+        bi.compute_bi();
+        s.energy += model_.site_energy(bi.blist());
+        model_.effective_beta(bi.blist(), sc.beta_eff);
         if (detail) {
           yi_s += stage.seconds();
           stage.reset();
         }
         for (int m = 0; m < nn; ++m) {
           // dB needs the full-range dU list (compute_dbidrj contracts
-          // every Z element), so the baseline path always runs the
-          // full recursion regardless of kernel.
-          bi->compute_duidrj((*rij)[m], 1.0);
-          bi->compute_dbidrj();
+          // every Z element), so the baseline path runs its own full
+          // recursion per neighbor.
+          bi.compute_duidrj(sc.rij[m], 1.0);
+          bi.compute_dbidrj();
           Vec3 de;
-          for (int l = 0; l < bi->num_b(); ++l) {
-            de += (*beta_eff)[l] * bi->dblist()[l];
+          for (int l = 0; l < bi.num_b(); ++l) {
+            de += sc.beta_eff[l] * bi.dblist()[l];
           }
-          f[(*jlist)[m]] -= de;
+          f[sc.jlist[m]] -= de;
           f[i] += de;
-          s.virial += -dot((*rij)[m], de);
+          s.virial += -dot(sc.rij[m], de);
         }
         if (detail) dei_s += stage.seconds();
-        s.flops += bi->flops_ui(nn) + bi->flops_zi() + bi->flops_bi() +
-                   nn * (bi->flops_duidrj_full() + bi->flops_dbidrj());
+        s.flops += bi.flops_ui(nn) + bi.flops_zi() + bi.flops_bi() +
+                   nn * (bi.flops_duidrj_full() + bi.flops_dbidrj());
       }
     }
 
@@ -323,15 +352,9 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
       SnapStageMetrics& m = SnapStageMetrics::get();
       m.ui_seconds.add(ui_s);
       m.yi_seconds.add(yi_s);
-      (cached_du && path_ == Path::Adjoint ? m.dei_cached_seconds
-                                           : m.dei_seconds)
-          .add(dei_s);
+      m.dei_seconds.add(dei_s);
       m.atoms.add(static_cast<double>(atoms));
       m.neighbors.add(static_cast<double>(neighbors));
-      if (isa_ui_seconds_ != nullptr) {
-        isa_ui_seconds_->add(ui_s);
-        isa_dei_seconds_->add(dei_s);
-      }
     }
   });
 

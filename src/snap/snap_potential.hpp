@@ -16,10 +16,6 @@
 #include "md/potential.hpp"
 #include "snap/bispectrum.hpp"
 
-namespace ember::obs {
-class Counter;
-}  // namespace ember::obs
-
 namespace ember::snap {
 
 // A trained SNAP model:
@@ -61,16 +57,15 @@ class SnapPotential final : public md::PairPotential {
     return path_ == Path::Adjoint ? "snap/adjoint" : "snap/baseline";
   }
 
-  // Threaded over atom blocks: worker 0 reuses the member kernel/scratch
-  // (the exact serial path), workers >= 1 get a private Bispectrum +
-  // buffers from the context's per-thread cache — the per-atom U/Y/dU
-  // arrays are allocated once per thread, never shared.
+  // Threaded over atom blocks: worker 0 uses the member scratch (the
+  // exact serial path), workers >= 1 get their own from the context's
+  // per-thread cache — the per-atom U/Y/dU arrays are allocated once per
+  // thread, never shared.
   using md::PairPotential::compute;
   md::EnergyVirial compute(const md::ComputeContext& ctx, md::System& sys,
                            const md::NeighborList& nl) override;
 
   [[nodiscard]] const SnapModel& model() const { return model_; }
-  [[nodiscard]] Bispectrum& kernel() { return bi_; }
   void set_path(Path path) { path_ = path; }
   [[nodiscard]] Path path() const { return path_; }
 
@@ -78,23 +73,24 @@ class SnapPotential final : public md::PairPotential {
   [[nodiscard]] double last_flops() const { return last_flops_; }
 
  private:
+  // Per-thread kernel state, sized once so steady state never allocates.
+  struct Scratch {
+    explicit Scratch(const SnapModel& model);
+    Bispectrum bi;
+    std::vector<Vec3> rij;
+    std::vector<int> jlist;
+    std::vector<double> beta_eff;
+    std::vector<Vec3> de;  // blocked dE_i/dr_k results
+  };
+
   SnapModel model_;
   Path path_;
-  Bispectrum bi_;
+  Scratch main_;
   double last_flops_ = 0.0;
   // Linear models: per-triple adjoint coefficients beta[idxb] * beta_scale,
   // folded once at construction so the per-atom loop skips the fold (the
   // quadratic path cannot hoist it — beta_eff depends on the atom's B).
   std::vector<double> y_coeff_;
-  // per-call scratch (kept to avoid reallocation)
-  std::vector<Vec3> rij_;
-  std::vector<int> jlist_;
-  std::vector<double> beta_eff_;
-  std::vector<Vec3> de_;  // blocked dE_i/dr_k results (half kernels)
-  // Per-ISA stage counters ("snap.simd.<isa>.*"), registered once at
-  // construction when the kernel is Simd; null otherwise.
-  obs::Counter* isa_ui_seconds_ = nullptr;
-  obs::Counter* isa_dei_seconds_ = nullptr;
 };
 
 }  // namespace ember::snap

@@ -11,6 +11,7 @@
 #include "app/interpreter.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "snap/snap_potential.hpp"
 
 namespace ember::app {
 namespace {
@@ -441,14 +442,12 @@ TEST(Interpreter, ProductionStyleProtocol) {
   EXPECT_LT(interp.simulation()->system().box().length(0), 7.4);
 }
 
-TEST(Interpreter, SnapKernelCommandSelectsVariantAndKeepsParity) {
-  // Write a small linear SNAP model the script can load.
+TEST(Interpreter, SnapPotentialLoadsModelFile) {
   const std::string model_path = "interp_snap_model.txt";
   {
     snap::SnapParams p;
     p.twojmax = 4;
     p.rcut = 2.0;
-    p.kernel = snap::SnapKernel::Symmetric;
     snap::SnapModel m;
     m.params = p;
     m.beta.assign(snap::SnapIndex(p.twojmax).num_b(), 0.05);
@@ -456,37 +455,26 @@ TEST(Interpreter, SnapKernelCommandSelectsVariantAndKeepsParity) {
     m.save(model_path);
   }
 
-  const auto run_protocol = [&](const std::string& kernel_cmd) {
-    std::ostringstream out;
-    Interpreter interp(out);
-    interp.run_script("mass 12.011\n"
-                      "lattice diamond 3.567 repeat 2 2 2\n"
-                      "potential snap " + model_path + "\n" +
-                      kernel_cmd +
-                      "thermalize 300 seed 4\n"
-                      "timestep 0.0005\n"
-                      "run 10\n");
-    return std::pair<double, std::string>(
-        interp.simulation()->total_energy(), out.str());
-  };
-
-  const auto [e_sym, out_sym] = run_protocol("snap_kernel symmetric\n");
-  const auto [e_simd, out_simd] = run_protocol("snap_kernel simd\n");
-  EXPECT_NE(out_sym.find("snap_kernel symmetric"), std::string::npos);
-  // The simd acknowledgement names the dispatched ISA.
-  EXPECT_NE(out_simd.find("snap_kernel simd (dispatch "), std::string::npos);
-  // Same trajectory on either kernel (forces agree to ~1e-12 per step).
-  EXPECT_NEAR(e_sym, e_simd, 1e-8 * std::abs(e_sym));
-
-  // The override also applies to a later `potential snap` load.
   std::ostringstream out;
   Interpreter interp(out);
-  interp.execute("snap_kernel simd");
-  interp.execute("potential snap " + model_path);
+  interp.run_script("mass 12.011\n"
+                    "lattice diamond 3.567 repeat 2 2 2\n"
+                    "potential snap " + model_path + "\n"
+                    "thermalize 300 seed 4\n"
+                    "timestep 0.0005\n"
+                    "run 10\n");
+  EXPECT_EQ(interp.total_steps(), 10);
   EXPECT_NE(out.str().find("snap/adjoint"), std::string::npos);
-
-  EXPECT_THROW(interp.execute("snap_kernel quantum"), Error);
   std::remove(model_path.c_str());
+
+  // A missing model file is an error that names the path.
+  try {
+    interp.execute("potential snap no_such_model.snap");
+    FAIL() << "expected an error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no_such_model.snap"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -79,16 +79,15 @@ TEST(Dynamics, ThreadedNveDriftMatchesSerial) {
 }
 
 TEST(Dynamics, SnapNveDriftIsKernelIndependent) {
-  // The Symmetric (half-range, cached-dU) SNAP kernel must integrate the
-  // same NVE trajectory as the Naive oracle: per-step force parity is
+  // The production adjoint kernel must integrate the same NVE trajectory
+  // as the independent Baseline (Z/dB) path: per-step force parity is
   // <= 1e-12, so over a short run positions track tightly and the energy
-  // drift of the two kernels is indistinguishable.
-  auto make_snap_sim = [](snap::SnapKernel kernel) {
+  // drift of the two paths is indistinguishable.
+  auto make_snap_sim = [](snap::SnapPotential::Path path) {
     snap::SnapParams p;
     p.twojmax = 6;
     p.rcut = 2.6;
     p.bzero_flag = true;
-    p.kernel = kernel;
     snap::SnapModel m;
     m.params = p;
     m.beta.resize(snap::SnapIndex(p.twojmax).num_b());
@@ -103,12 +102,13 @@ TEST(Dynamics, SnapNveDriftIsKernelIndependent) {
     System sys = build_lattice(spec, 12.011);
     Rng rng(43);
     sys.thermalize(120.0, rng);
-    auto pot = std::make_shared<snap::SnapPotential>(m);
+    auto pot = std::make_shared<snap::SnapPotential>(m, path);
     return Simulation(std::move(sys), pot, 0.0005, 0.3, 43);
   };
 
-  auto drift_and_run = [&](snap::SnapKernel kernel, std::vector<Vec3>& x) {
-    Simulation sim = make_snap_sim(kernel);
+  auto drift_and_run = [&](snap::SnapPotential::Path path,
+                           std::vector<Vec3>& x) {
+    Simulation sim = make_snap_sim(path);
     sim.setup();
     const double e0 = sim.total_energy();
     sim.run(100);
@@ -116,18 +116,20 @@ TEST(Dynamics, SnapNveDriftIsKernelIndependent) {
     x.assign(sys.x.begin(), sys.x.begin() + sys.nlocal());
     return std::abs(sim.total_energy() - e0) / sys.nlocal();
   };
-  std::vector<Vec3> x_naive;
-  std::vector<Vec3> x_sym;
-  const double drift_naive = drift_and_run(snap::SnapKernel::Naive, x_naive);
-  const double drift_sym = drift_and_run(snap::SnapKernel::Symmetric, x_sym);
+  std::vector<Vec3> x_base;
+  std::vector<Vec3> x_adj;
+  const double drift_base =
+      drift_and_run(snap::SnapPotential::Path::Baseline, x_base);
+  const double drift_adj =
+      drift_and_run(snap::SnapPotential::Path::Adjoint, x_adj);
 
-  EXPECT_LT(drift_naive, 5e-5);
-  EXPECT_LT(drift_sym, 5e-5);
-  EXPECT_NEAR(drift_sym, drift_naive, 1e-9);
-  ASSERT_EQ(x_naive.size(), x_sym.size());
-  for (std::size_t i = 0; i < x_naive.size(); ++i) {
+  EXPECT_LT(drift_base, 5e-5);
+  EXPECT_LT(drift_adj, 5e-5);
+  EXPECT_NEAR(drift_adj, drift_base, 1e-9);
+  ASSERT_EQ(x_base.size(), x_adj.size());
+  for (std::size_t i = 0; i < x_base.size(); ++i) {
     for (int d = 0; d < 3; ++d) {
-      EXPECT_NEAR(x_naive[i][d], x_sym[i][d], 1e-8) << "atom " << i;
+      EXPECT_NEAR(x_base[i][d], x_adj[i][d], 1e-8) << "atom " << i;
     }
   }
 }

@@ -1,4 +1,4 @@
-// Force-path validation: the adjoint kernel (compute_yi / compute_deidrj)
+// Force-path validation: the adjoint kernel (compute_yi / compute_deidrj_all)
 // and the baseline kernel (compute_zi / compute_dbidrj) must both agree
 // with central finite differences of the SNAP energy, and with each other.
 
@@ -77,11 +77,11 @@ std::vector<Vec3> adjoint_forces(Bispectrum& bi, const Cluster& c,
     }
     bi.compute_ui(rij, {});
     bi.compute_yi(beta);
+    std::vector<Vec3> de(rij.size());  // dE_i / dr_k
+    bi.compute_deidrj_all(de);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      bi.compute_duidrj(rij[m], 1.0);
-      const Vec3 de = bi.compute_deidrj();  // dE_i / dr_k
-      f[nbr[m]] -= de;
-      f[i] += de;  // dE_i/dr_i = -sum_k dE_i/dr_k
+      f[nbr[m]] -= de[m];
+      f[i] += de[m];  // dE_i/dr_i = -sum_k dE_i/dr_k
     }
   }
   return f;

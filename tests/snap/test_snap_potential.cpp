@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "md/lattice.hpp"
@@ -152,6 +155,13 @@ TEST(SnapModel, SaveLoadRoundTrip) {
   const std::string path = "/tmp/ember_test_model.snap";
   model.save(path);
   const SnapModel loaded = SnapModel::load(path);
+  {
+    // save writes no kernel key (load ignores a legacy one).
+    std::ifstream is(path);
+    const std::string text((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text.find("kernel"), std::string::npos);
+  }
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.params.twojmax, model.params.twojmax);
@@ -162,6 +172,74 @@ TEST(SnapModel, SaveLoadRoundTrip) {
   for (std::size_t l = 0; l < model.beta.size(); ++l) {
     EXPECT_DOUBLE_EQ(loaded.beta[l], model.beta[l]);
   }
+}
+
+TEST(SnapModel, LoadRejectsMalformedFilesNamingPathAndKey) {
+  // Each case is a whole model file. An empty `key` means the file must
+  // load; otherwise load must throw ember::Error naming the path and key.
+  const std::size_t nb = static_cast<std::size_t>(SnapIndex(2).num_b());
+  const auto values = [](std::size_t n) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out += "0.01\n";
+    return out;
+  };
+  const std::string head = "# test model\ntwojmax 2\nrcut 3.0\n";
+  const std::string linear =
+      head + "ncoeff " + std::to_string(nb) + "\n" + values(nb);
+  struct Case {
+    const char* name;
+    std::string text;
+    const char* key;
+  };
+  const Case cases[] = {
+      {"valid", linear + "nquad 0\n", ""},
+      {"legacy kernel key", "kernel symmetric\n" + linear, ""},
+      {"unknown kernel", "kernel quantum\n" + linear, "kernel"},
+      {"huge ncoeff", head + "ncoeff 1000000000000\n", "ncoeff"},
+      {"ncoeff vs twojmax", head + "ncoeff " + std::to_string(nb + 1) +
+                                "\n" + values(nb + 1),
+       "ncoeff"},
+      {"short ncoeff block",
+       head + "ncoeff " + std::to_string(nb) + "\n" + values(nb - 1),
+       "ncoeff"},
+      {"bad coefficient",
+       head + "ncoeff " + std::to_string(nb) + "\nabc\n" + values(nb - 1),
+       "ncoeff"},
+      {"missing ncoeff", head, "ncoeff"},
+      {"twojmax not a number", "twojmax x\n" + linear, "twojmax"},
+      {"twojmax out of range", "twojmax 99\n", "twojmax"},
+      {"rcut partial parse", linear + "rcut 4.x\n", "rcut"},
+      {"switch not a flag", linear + "switch 2\n", "switch"},
+      {"unknown key", linear + "rcutt 4.0\n", "rcutt"},
+      {"two values on a line", head + "wself 1.0 2.0\n", "wself"},
+      {"nquad not ncoeff^2", linear + "nquad 3\n" + values(3), "nquad"},
+      {"short nquad block",
+       linear + "nquad " + std::to_string(nb * nb) + "\n" +
+           values(nb * nb - 1),
+       "nquad"},
+  };
+  const std::string path = "snap_model_load_case.tmp";
+  for (const Case& c : cases) {
+    {
+      std::ofstream os(path);
+      os << c.text;
+    }
+    if (c.key[0] == '\0') {
+      const SnapModel m = SnapModel::load(path);
+      EXPECT_EQ(m.beta.size(), nb) << c.name;
+      EXPECT_TRUE(m.alpha.empty()) << c.name;
+      continue;
+    }
+    try {
+      static_cast<void>(SnapModel::load(path));
+      ADD_FAILURE() << c.name << ": expected an error";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path), std::string::npos) << c.name << ": " << msg;
+      EXPECT_NE(msg.find(c.key), std::string::npos) << c.name << ": " << msg;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SnapPotential, FlopCounterTracksWork) {
