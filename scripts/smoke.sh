@@ -13,7 +13,9 @@
 #   4. bench_record: re-measure the headline kernel curves and refresh
 #      BENCH_headline.json at the repo root (validated as JSON).
 #   5. Observability smoke: a traced ember_run demo; the Chrome trace
-#      and the metrics dump must both parse.
+#      and the metrics dump must both parse. Then the SNAP stage-split
+#      example (run from the repo root, which its model path assumes): its
+#      metrics dump must report SNAP atoms and Y-stage time.
 #   6. Socket transport: the forked-process comm subset (ctest -R
 #      Socket) plus the multi-process elastic-rescaling example.
 #   7. Trajectory round-trip: the async-writer demo dumps a compressed
@@ -81,6 +83,11 @@ if command -v python3 >/dev/null; then
   python3 -m json.tool "$TRACE_TMP/metrics_demo.json" >/dev/null
 fi
 rm -rf "$TRACE_TMP"
+build/src/app/ember_run examples/inputs/snap_stages.in
+if command -v python3 >/dev/null; then
+  python3 -c 'import json; c = json.load(open("snap_stages_metrics.json"))["counters"]; a = c["snap.atoms"]; assert a > 0 and c["snap.yi_seconds"] > 0, c; print(" ".join("%s %.1f us/atom" % (s, 1e6 * c["snap.%s_seconds" % s] / a) for s in ("ui", "yi", "dei")))'
+fi
+rm -f snap_stages_trace.json snap_stages_metrics.json
 
 echo "== [6/7] socket transport: forked-process subset + example =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R Socket

@@ -9,9 +9,50 @@
 
 namespace ember::snap {
 
+// ---- analytic FLOP estimates -------------------------------------------
+//
+// A complex multiply counts 6 flops, complex add 2, real*complex 2.
+// Constants below were chosen by counting the operations in the loops; the
+// paper's own numbers come from measured FLOP counters, so these serve the
+// same role (converting measured time into a FLOP rate). The adjoint
+// counts cover the half column range the lane kernel executes: the Y
+// work-list terms, and the dU pass with its replayed U recursion. The
+// atom-independent counts are taken once, at construction.
+
+namespace {
+double z_sweep_flops(const SnapIndex& idx) {
+  double total = 0.0;
+  for (const auto& t : idx.z_triples()) {
+    const int s = (t.j1 + t.j2 - t.j) / 2;
+    const int n = t.j + 1;
+    for (int ma = 0; ma < n; ++ma) {
+      const double rows =
+          std::min(t.j1, ma + s) - std::max(0, ma + s - t.j2) + 1;
+      for (int mb = 0; mb < n; ++mb) {
+        const double cols =
+            std::min(t.j1, mb + s) - std::max(0, mb + s - t.j2) + 1;
+        // inner: cplx mul + scale + add = 10 flops, row finish = 4
+        total += rows * (cols * 10.0 + 4.0);
+      }
+    }
+  }
+  return total;
+}
+
+double y_work_list_flops(const SnapIndex& idx) {
+  // term: cplx mul + scale + add = 10; row finish 4; output accumulation
+  // 4; half-weight fold 2 per half element.
+  double terms = 0.0;
+  for (const YRow& r : idx.y_rows()) terms += r.n;
+  return 10.0 * terms + 4.0 * static_cast<double>(idx.y_rows().size()) +
+         4.0 * static_cast<double>(idx.y_outputs().size()) +
+         2.0 * static_cast<double>(idx.u_half_total());
+}
+}  // namespace
+
 Bispectrum::Bispectrum(const SnapParams& params)
     : params_(params),
-      idx_(params.twojmax),
+      idx_(SnapIndex::shared(params.twojmax)),
       simd_isa_(simd::choose_isa()),
       ops_(simd::ops_for(simd_isa_)) {
   const int tj = params_.twojmax;
@@ -26,19 +67,21 @@ Bispectrum::Bispectrum(const SnapParams& params)
   }
 
   utot_.resize(idx_.u_total());
-  ulist_.resize(idx_.u_total());
-  dulist_raw_.resize(idx_.u_total());
-  dulist_.resize(idx_.u_total());
-  zlist_.resize(idx_.z_total());
   blist_.resize(idx_.num_b());
   dblist_.resize(idx_.num_b());
 
   const int nh = idx_.u_half_total();
   const std::size_t w = static_cast<std::size_t>(ops_.width);
-  utot_half_re_.resize(nh);
-  utot_half_im_.resize(nh);
-  y_half_re_.resize(nh);
-  y_half_im_.resize(nh);
+  atom_ck_.resize(w);
+  atom_nnbor_.assign(w, 0);
+  ucache_re_.resize(static_cast<std::size_t>(nh) * w);
+  ucache_im_.resize(static_cast<std::size_t>(nh) * w);
+  ublk_re_.resize(static_cast<std::size_t>(nh) * w);
+  ublk_im_.resize(static_cast<std::size_t>(nh) * w);
+  ufull_re_.resize(static_cast<std::size_t>(idx_.u_total()) * w);
+  ufull_im_.resize(static_cast<std::size_t>(idx_.u_total()) * w);
+  y_re_.resize(static_cast<std::size_t>(nh) * w);
+  y_im_.resize(static_cast<std::size_t>(nh) * w);
   lane_acc_re_.resize(static_cast<std::size_t>(nh) * w);
   lane_acc_im_.resize(static_cast<std::size_t>(nh) * w);
   for (int d = 0; d < 3; ++d) {
@@ -46,6 +89,16 @@ Bispectrum::Bispectrum(const SnapParams& params)
     lane_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
   }
   lane_out_.resize(3 * w);
+
+  flops_.zi = z_sweep_flops(idx_);
+  flops_.yi = y_work_list_flops(idx_);
+  for (const auto& bt : idx_.b_triples()) {
+    const double nj = (bt.j + 1) * (bt.j + 1);
+    const double nj1 = (bt.j1 + 1) * (bt.j1 + 1);
+    const double nj2 = (bt.j2 + 1) * (bt.j2 + 1);
+    flops_.bi += 4.0 * nj;
+    flops_.dbidrj += 12.0 * (nj + nj1 + nj2);
+  }
 
   // bzero: bispectrum of an isolated atom (self term only), obtained by
   // running the kernel itself on an empty neighbor set. compute_bi_impl
@@ -120,27 +173,6 @@ void Bispectrum::u_recursion(const CayleyKlein& ck) {
   }
 }
 
-void Bispectrum::mirror_half_to_full(const double* hre, const double* him,
-                                     std::vector<Cplx>& full) const {
-  for (int j = 0; j <= params_.twojmax; ++j) {
-    const int blk = idx_.u_block(j);
-    const int hblk = idx_.u_half_block(j);
-    const int cs = j + 1;
-    const int hs = j / 2 + 1;
-    for (int ma = 0; ma <= j; ++ma) {
-      for (int mb = 0; mb <= j / 2; ++mb) {
-        const int h = hblk + ma * hs + mb;
-        full[blk + ma * cs + mb] = {hre[h], him[h]};
-      }
-      for (int mb = j / 2 + 1; mb <= j; ++mb) {
-        const int h = hblk + (j - ma) * hs + (j - mb);
-        const double sign = ((ma + mb) % 2 == 0) ? 1.0 : -1.0;
-        full[blk + ma * cs + mb] = {sign * hre[h], -sign * him[h]};
-      }
-    }
-  }
-}
-
 void Bispectrum::pack_ck_lane(double* slots, int lane, const CayleyKlein& ck,
                               double wj) const {
   const int width = ops_.width;
@@ -160,21 +192,35 @@ void Bispectrum::pack_ck_lane(double* slots, int lane, const CayleyKlein& ck,
   s[simd::kCkW * width] = wj;
 }
 
+simd::UiBlockArgs Bispectrum::ui_args(const double* ck, double* acc_re,
+                                      double* acc_im) {
+  return {params_.twojmax, idx_.u_half_block_data(), idx_.u_half_total(),
+          rootpq_.data(),  ck, ucache_re_.data(), ucache_im_.data(),
+          acc_re,          acc_im};
+}
+
 void Bispectrum::compute_ui(std::span<const Vec3> rij,
                             std::span<const double> wj) {
+  compute_ui(rij, wj, 0);
+  const std::size_t w = static_cast<std::size_t>(ops_.width);
+  for (std::size_t f = 0; f < utot_.size(); ++f) {
+    utot_[f] = {ufull_re_[f * w], ufull_im_[f * w]};
+  }
+}
+
+void Bispectrum::compute_ui(std::span<const Vec3> rij,
+                            std::span<const double> wj, int lane) {
   EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
                 "weight array size mismatch");
+  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
   have_z_ = false;
-  const int nh = idx_.u_half_total();
   const int nn = static_cast<int>(rij.size());
   const int w = ops_.width;
-  const std::size_t plane = static_cast<std::size_t>(nh) * w;
   const std::size_t ck_block = static_cast<std::size_t>(simd::kCkSlots) * w;
-  nnbor_cached_ = nn;
   const int nblk = (nn + w - 1) / w;
-  lane_ck_.resize(static_cast<std::size_t>(nblk) * ck_block);
-  ucache_re_.resize(static_cast<std::size_t>(nblk) * plane);
-  ucache_im_.resize(static_cast<std::size_t>(nblk) * plane);
+  aligned_vector<double>& ck = atom_ck_[lane];
+  ck.resize(static_cast<std::size_t>(nblk) * ck_block);
+  atom_nnbor_[lane] = nn;
   std::fill(lane_acc_re_.begin(), lane_acc_re_.end(), 0.0);
   std::fill(lane_acc_im_.begin(), lane_acc_im_.end(), 0.0);
   EMBER_CHECK(EMBER_REQUIRE(
@@ -183,52 +229,53 @@ void Bispectrum::compute_ui(std::span<const Vec3> rij,
       "SNAP lane-kernel planes must be 64-byte aligned"));
 
   for (int b = 0; b < nblk; ++b) {
-    double* slots = lane_ck_.data() + static_cast<std::size_t>(b) * ck_block;
-    for (int lane = 0; lane < w; ++lane) {
+    double* slots = ck.data() + static_cast<std::size_t>(b) * ck_block;
+    for (int l = 0; l < w; ++l) {
       // Padded lanes repeat the last neighbor's mapping with weight 0: the
       // recursion stays finite and their contributions vanish.
-      const int k = std::min(b * w + lane, nn - 1);
-      const double wk = b * w + lane < nn ? (wj.empty() ? 1.0 : wj[k]) : 0.0;
-      pack_ck_lane(slots, lane,
+      const int k = std::min(b * w + l, nn - 1);
+      const double wk = b * w + l < nn ? (wj.empty() ? 1.0 : wj[k]) : 0.0;
+      pack_ck_lane(slots, l,
                    map_to_sphere(rij[k], params_.rcut, params_.rfac0,
                                  params_.rmin0, params_.switch_flag),
                    wk);
     }
-    simd::UiBlockArgs args;
-    args.twojmax = params_.twojmax;
-    args.half_block = idx_.u_half_block_data();
-    args.nh = nh;
-    args.rootpq = rootpq_.data();
-    args.ck = slots;
-    args.ur = ucache_re_.data() + static_cast<std::size_t>(b) * plane;
-    args.ui = ucache_im_.data() + static_cast<std::size_t>(b) * plane;
-    args.acc_re = lane_acc_re_.data();
-    args.acc_im = lane_acc_im_.data();
-    ops_.ui_block(args);
+    ops_.ui_block(ui_args(slots, lane_acc_re_.data(), lane_acc_im_.data()));
   }
 
-  // Reduce the lane accumulator into the element-major half planes.
-  for (int e = 0; e < nh; ++e) {
-    double sr = 0.0;
-    double si = 0.0;
-    for (int lane = 0; lane < w; ++lane) {
-      sr += lane_acc_re_[static_cast<std::size_t>(e) * w + lane];
-      si += lane_acc_im_[static_cast<std::size_t>(e) * w + lane];
-    }
-    utot_half_re_[e] = sr;
-    utot_half_im_[e] = si;
-  }
-
-  // Self contribution on the stored part of the diagonal; the mirrored
-  // diagonal elements (ma = mb > j/2) inherit it through the expansion
-  // below, since a real diagonal value is its own mirror image.
+  // Reduce the neighbor-lane accumulator into the atom's lane of the
+  // block Utot, add the self term on the diagonal, and expand the lane to
+  // the full range the Y sweep reads: beyond the half range
+  // U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb]).
+  const std::size_t uw = static_cast<std::size_t>(w);
+  std::size_t e = 0;
   for (int j = 0; j <= params_.twojmax; ++j) {
-    for (int ma = 0; ma <= j / 2; ++ma) {
-      utot_half_re_[idx_.u_half_index(j, ma, ma)] += params_.wself;
+    for (int ma = 0; ma <= j; ++ma) {
+      for (int mb = 0; 2 * mb <= j; ++mb, ++e) {
+        double sr = 0.0;
+        double si = 0.0;
+        for (std::size_t l = 0; l < uw; ++l) {
+          sr += lane_acc_re_[e * uw + l];
+          si += lane_acc_im_[e * uw + l];
+        }
+        if (ma == mb) sr += params_.wself;
+        ublk_re_[e * uw + lane] = sr;
+        ublk_im_[e * uw + lane] = si;
+        const auto f =
+            static_cast<std::size_t>(idx_.u_index(j, ma, mb)) * uw + lane;
+        ufull_re_[f] = sr;
+        ufull_im_[f] = si;
+        if (2 * mb < j) {
+          const double sg = (ma + mb) % 2 == 0 ? 1.0 : -1.0;
+          const auto g =
+              static_cast<std::size_t>(idx_.u_index(j, j - ma, j - mb)) * uw +
+              lane;
+          ufull_re_[g] = sg * sr;
+          ufull_im_[g] = -sg * si;
+        }
+      }
     }
   }
-
-  mirror_half_to_full(utot_half_re_.data(), utot_half_im_.data(), utot_);
 }
 
 Cplx Bispectrum::z_element(const ZTriple& t, int ma, int mb) const {
@@ -261,39 +308,9 @@ Cplx Bispectrum::z_element(const ZTriple& t, int ma, int mb) const {
   return z;
 }
 
-Cplx Bispectrum::z_element_aligned(const ZTriple& t, int ma, int mb) const {
-  const int j1 = t.j1;
-  const int j2 = t.j2;
-  const int s = (t.j1 + t.j2 - t.j) / 2;
-  const Cplx* u1 = utot_.data() + idx_.u_block(j1);
-  const Cplx* u2 = utot_.data() + idx_.u_block(j2);
-  const int s1 = j1 + 1;
-  const int s2 = j2 + 1;
-  const double* cgr = idx_.aligned_cg_row(t, ma);
-  const double* cgc = idx_.aligned_cg_row(t, mb);
-
-  Cplx z{};
-  const int ra_lo = std::max(0, ma + s - j2);
-  const int ra_hi = std::min(j1, ma + s);
-  const int cb_lo = std::max(0, mb + s - j2);
-  const int cb_hi = std::min(j1, mb + s);
-  for (int ma1 = ra_lo; ma1 <= ra_hi; ++ma1) {
-    const double cg_row = cgr[ma1];
-    if (cg_row == 0.0) continue;
-    const Cplx* u1row = u1 + ma1 * s1;
-    const Cplx* u2row = u2 + (ma + s - ma1) * s2 + s;
-    Cplx rowsum{};
-    for (int mb1 = cb_lo; mb1 <= cb_hi; ++mb1) {
-      // u2 column mb2 = mb + s - mb1; u2row is pre-offset by s so the
-      // access is u2row[mb - mb1].
-      rowsum += cgc[mb1] * (u1row[mb1] * u2row[mb - mb1]);
-    }
-    z += cg_row * rowsum;
-  }
-  return z;
-}
-
 void Bispectrum::compute_zi() {
+  // Sized on first use: the linear adjoint path never stores Z.
+  zlist_.resize(idx_.z_total());
   for (const auto& t : idx_.z_triples()) {
     Cplx* z = zlist_.data() + t.idxz_u;
     const int n = t.j + 1;
@@ -336,41 +353,27 @@ void Bispectrum::compute_yi(std::span<const double> beta) {
 }
 
 void Bispectrum::compute_yi_coeffs(std::span<const double> coeffs) {
-  const auto& triples = idx_.z_triples();
-  EMBER_REQUIRE(coeffs.size() == triples.size(),
+  EMBER_REQUIRE(coeffs.size() == idx_.z_triples().size(),
                 "coefficient array must have one entry per coupling triple");
+  simd::scalar_ops().yi_block({&idx_, ops_.width, ufull_re_.data(),
+                               ufull_im_.data(), coeffs.data(), y_re_.data(),
+                               y_im_.data()});
+}
 
-  // Half-column Y sweep: the z element of a dropped column follows the
-  // same conjugation mirror as U, so only 2*mb <= t.j is accumulated.
-  std::fill(y_half_re_.begin(), y_half_re_.end(), 0.0);
-  std::fill(y_half_im_.begin(), y_half_im_.end(), 0.0);
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    const ZTriple& t = triples[i];
-    const double coeff = coeffs[i];
-    if (coeff == 0.0) continue;
-    const int hblk = idx_.u_half_block(t.j);
-    const int hs = t.j / 2 + 1;
-    for (int ma = 0; ma <= t.j; ++ma) {
-      for (int mb = 0; mb <= t.j / 2; ++mb) {
-        const Cplx z = z_element_aligned(t, ma, mb);
-        const int e = hblk + ma * hs + mb;
-        y_half_re_[e] += coeff * z.re;
-        y_half_im_[e] += coeff * z.im;
-      }
-    }
-  }
-  // Fold the contraction weights into the half planes, so the force and
-  // energy contractions are pure dot products over the half range.
-  const auto& hw = idx_.half_weights();
-  for (int e = 0; e < idx_.u_half_total(); ++e) {
-    y_half_re_[e] *= hw[e];
-    y_half_im_[e] *= hw[e];
-  }
+void Bispectrum::compute_yi_block(std::span<const double> coeffs) {
+  EMBER_REQUIRE(coeffs.size() == idx_.z_triples().size(),
+                "coefficient array must have one entry per coupling triple");
+  ops_.yi_block({&idx_, ops_.width, ufull_re_.data(), ufull_im_.data(),
+                 coeffs.data(), y_re_.data(), y_im_.data()});
 }
 
 void Bispectrum::compute_duidrj(const Vec3& rij, double wj) {
   const CayleyKlein ck = map_to_sphere(rij, params_.rcut, params_.rfac0,
                                        params_.rmin0, params_.switch_flag);
+  // Sized on first use: only the Baseline path runs the full recursion.
+  ulist_.resize(idx_.u_total());
+  dulist_raw_.resize(idx_.u_total());
+  dulist_.resize(idx_.u_total());
   u_recursion(ck);
   for (int i = 0; i < idx_.u_total(); ++i) {
     for (int d = 0; d < 3; ++d) {
@@ -380,42 +383,45 @@ void Bispectrum::compute_duidrj(const Vec3& rij, double wj) {
   }
 }
 
-void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
-  EMBER_REQUIRE(static_cast<int>(de.size()) >= nnbor_cached_,
-                "force span smaller than the cached neighbor set");
+void Bispectrum::compute_deidrj_all(std::span<Vec3> de, int lane) {
+  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
+  const int nn = atom_nnbor_[lane];
+  EMBER_REQUIRE(static_cast<int>(de.size()) >= nn,
+                "force span smaller than the atom's neighbor set");
   const int nh = idx_.u_half_total();
   const int w = ops_.width;
-  const std::size_t plane = static_cast<std::size_t>(nh) * w;
-  const int nblk = (nnbor_cached_ + w - 1) / w;
+  const int nblk = (nn + w - 1) / w;
   EMBER_CHECK(EMBER_REQUIRE(
-      is_aligned(y_half_re_.data()) && is_aligned(lane_du_re_[0].data()),
+      is_aligned(ucache_re_.data()) && is_aligned(lane_du_re_[0].data()),
       "SNAP lane-kernel planes must be 64-byte aligned"));
 
+  simd::DeiBlockArgs args;
+  args.twojmax = params_.twojmax;
+  args.half_block = idx_.u_half_block_data();
+  args.nh = nh;
+  args.rootpq = rootpq_.data();
+  args.ur = ucache_re_.data();
+  args.ui = ucache_im_.data();
+  for (int d = 0; d < 3; ++d) {
+    args.du_re[d] = lane_du_re_[d].data();
+    args.du_im[d] = lane_du_im_[d].data();
+  }
+  args.y_re = y_re_.data() + lane;
+  args.y_im = y_im_.data() + lane;
+  args.out = lane_out_.data();
   for (int b = 0; b < nblk; ++b) {
-    simd::DeiBlockArgs args;
-    args.twojmax = params_.twojmax;
-    args.half_block = idx_.u_half_block_data();
-    args.nh = nh;
-    args.rootpq = rootpq_.data();
-    args.ck = lane_ck_.data() +
+    args.ck = atom_ck_[lane].data() +
               static_cast<std::size_t>(b) * simd::kCkSlots * w;
-    args.ur = ucache_re_.data() + static_cast<std::size_t>(b) * plane;
-    args.ui = ucache_im_.data() + static_cast<std::size_t>(b) * plane;
-    for (int d = 0; d < 3; ++d) {
-      args.du_re[d] = lane_du_re_[d].data();
-      args.du_im[d] = lane_du_im_[d].data();
-    }
-    args.y_re = y_half_re_.data();
-    args.y_im = y_half_im_.data();
-    args.out = lane_out_.data();
+    // Replay the block's bare U recursion (no accumulation) rather than
+    // keep every block's U from compute_ui.
+    ops_.ui_block(ui_args(args.ck, nullptr, nullptr));
     ops_.dei_block(args);
     // The Y planes carry the half-range weights (factor 2 for mirrored
     // columns), so each lane's sum is the complete chain rule.
-    const int active = std::min(w, nnbor_cached_ - b * w);
-    for (int lane = 0; lane < active; ++lane) {
-      de[b * w + lane] = Vec3{lane_out_[0 * w + lane],
-                              lane_out_[1 * w + lane],
-                              lane_out_[2 * w + lane]};
+    const int active = std::min(w, nn - b * w);
+    for (int l = 0; l < active; ++l) {
+      de[b * w + l] = Vec3{lane_out_[0 * w + l], lane_out_[1 * w + l],
+                           lane_out_[2 * w + l]};
     }
   }
 }
@@ -463,13 +469,16 @@ void Bispectrum::compute_dbidrj() {
   }
 }
 
-double Bispectrum::energy_from_yi(double beta0,
-                                  std::span<const double> beta) const {
-  // y_half_* carry the half-range weights, so the half-plane dot product
-  // equals the full-range sum Y : conj(Utot).
+double Bispectrum::energy_from_yi(double beta0, std::span<const double> beta,
+                                  int lane) const {
+  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
+  // The Y planes carry the half-range weights, so the half-plane dot
+  // product equals the full-range sum Y : conj(Utot).
+  const std::size_t w = static_cast<std::size_t>(ops_.width);
   double sum = 0.0;
   for (int i = 0; i < idx_.u_half_total(); ++i) {
-    sum += y_half_re_[i] * utot_half_re_[i] + y_half_im_[i] * utot_half_im_[i];
+    const std::size_t k = static_cast<std::size_t>(i) * w + lane;
+    sum += y_re_[k] * ublk_re_[k] + y_im_[k] * ublk_im_[k];
   }
   double e = beta0 + sum / 3.0;
   if (params_.bzero_flag) {
@@ -486,75 +495,12 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
   return e;
 }
 
-// ---- analytic FLOP estimates -------------------------------------------
-//
-// A complex multiply counts 6 flops, complex add 2, real*complex 2.
-// Constants below were chosen by counting the operations in the loops; the
-// paper's own numbers come from measured FLOP counters, so these serve the
-// same role (converting measured time into a FLOP rate). The adjoint
-// counts cover the half column range the lane kernel executes, the mirror
-// expansion, and the U-recursion-free dU pass.
-
-namespace {
-double z_sweep_flops(const SnapIndex& idx, bool half_columns) {
-  double total = 0.0;
-  for (const auto& t : idx.z_triples()) {
-    const int s = (t.j1 + t.j2 - t.j) / 2;
-    const int n = t.j + 1;
-    const int mb_max = half_columns ? t.j / 2 : t.j;
-    double per_matrix = 0.0;
-    for (int ma = 0; ma < n; ++ma) {
-      const int rlo = std::max(0, ma + s - t.j2);
-      const int rhi = std::min(t.j1, ma + s);
-      const double rows = rhi - rlo + 1;
-      for (int mb = 0; mb <= mb_max; ++mb) {
-        const int clo = std::max(0, mb + s - t.j2);
-        const int chi = std::min(t.j1, mb + s);
-        const double cols = chi - clo + 1;
-        // inner: cplx mul + scale + add = 10 flops, row finish = 4
-        per_matrix += rows * (cols * 10.0 + 4.0);
-      }
-    }
-    total += per_matrix;
-  }
-  return total;
-}
-
-double z_half_outputs(const SnapIndex& idx) {
-  double total = 0.0;
-  for (const auto& t : idx.z_triples()) {
-    total += static_cast<double>(t.j + 1) * (t.j / 2 + 1);
-  }
-  return total;
-}
-}  // namespace
+// ---- analytic FLOP estimates (see the counting helpers at the top) -----
 
 double Bispectrum::flops_ui(int nnbor) const {
-  // mapping ~60, half recursion ~22 + accumulation 4 per half element,
-  // plus the one-off mirror expansion (~2 per full element).
+  // mapping ~60, half recursion ~22 + accumulation 4 per half element.
   return static_cast<double>(nnbor) *
-             (60.0 + 26.0 * static_cast<double>(idx_.u_half_total())) +
-         2.0 * static_cast<double>(idx_.u_total());
-}
-
-double Bispectrum::flops_zi() const {
-  return z_sweep_flops(idx_, /*half_columns=*/false);
-}
-
-double Bispectrum::flops_bi() const {
-  double total = 0.0;
-  for (const auto& bt : idx_.b_triples()) {
-    total += 4.0 * (bt.j + 1) * (bt.j + 1);
-  }
-  return total;
-}
-
-double Bispectrum::flops_yi() const {
-  // half-column z sweep + accumulation into the half planes (4 per
-  // produced element) + the half-weight fold (2 per half element).
-  return z_sweep_flops(idx_, /*half_columns=*/true) +
-         4.0 * z_half_outputs(idx_) +
-         2.0 * static_cast<double>(idx_.u_half_total());
+         (60.0 + 26.0 * static_cast<double>(idx_.u_half_total()));
 }
 
 double Bispectrum::flops_duidrj_full() const {
@@ -563,9 +509,10 @@ double Bispectrum::flops_duidrj_full() const {
 }
 
 double Bispectrum::flops_duidrj() const {
-  // The product rule is fused into the contraction (see flops_deidrj);
-  // the dU pass is the bare derivative recursion alone.
-  return 48.0 * static_cast<double>(idx_.u_half_total());
+  // The replayed bare U recursion (~22) and the derivative recursion (48)
+  // per half element; the product rule is fused into the contraction
+  // (see flops_deidrj).
+  return (22.0 + 48.0) * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_deidrj() const {
@@ -573,19 +520,8 @@ double Bispectrum::flops_deidrj() const {
   return 16.0 * static_cast<double>(idx_.u_half_total());
 }
 
-double Bispectrum::flops_dbidrj() const {
-  double total = 0.0;
-  for (const auto& bt : idx_.b_triples()) {
-    const double nj = (bt.j + 1) * (bt.j + 1);
-    const double nj1 = (bt.j1 + 1) * (bt.j1 + 1);
-    const double nj2 = (bt.j2 + 1) * (bt.j2 + 1);
-    total += 12.0 * (nj + nj1 + nj2);
-  }
-  return total;
-}
-
 double Bispectrum::flops_adjoint_atom(int nnbor) const {
-  return flops_ui(nnbor) + flops_yi() +
+  return flops_ui(nnbor) + flops_.yi +
          nnbor * (flops_duidrj() + flops_deidrj());
 }
 

@@ -1,6 +1,9 @@
 #include "indexing.hpp"
 
 #include <algorithm>
+#include <array>
+#include <memory>
+#include <mutex>
 
 #include "factorial.hpp"
 
@@ -106,7 +109,7 @@ SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
 
   // Aligned CG blocks: per triple, (j+1) rows of (j1+1) unit-stride
   // entries holding cg(t, m1, m + s - m1) for the valid m1 range of each
-  // output index m (see aligned_cg_row).
+  // output index m (see aligned_cg).
   for (auto& t : z_) {
     t.idxcga = static_cast<int>(cg_aligned_.size());
     const int s = (t.j1 + t.j2 - t.j) / 2;
@@ -119,6 +122,48 @@ SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
       }
     }
   }
+
+  // Y work list over the half column range 2*mb <= j, in element order
+  // (j, ma, mb) with triples ascending per element. An output's rows run
+  // over the coupling range of ma1, each over the range [clo, chi] of
+  // mb1; rows whose CG factor vanishes contribute nothing and are dropped.
+  for (int j = 0; j <= twojmax; ++j) {
+    for (int ma = 0; ma <= j; ++ma) {
+      for (int mb = 0; 2 * mb <= j; ++mb) {
+        for (int ti = 0; ti < static_cast<int>(z_.size()); ++ti) {
+          const ZTriple& t = z_[ti];
+          if (t.j != j) continue;
+          const int s = (t.j1 + t.j2 - t.j) / 2;
+          YOutput o{u_half_index(j, ma, mb), ti,
+                    static_cast<int>(y_rows_.size()), 0};
+          const int clo = std::max(0, mb + s - t.j2);
+          const int chi = std::min(t.j1, mb + s);
+          for (int ma1 = std::max(0, ma + s - t.j2);
+               ma1 <= std::min(t.j1, ma + s); ++ma1) {
+            const double c = cg(t, ma1, ma + s - ma1);
+            if (c == 0.0) continue;
+            y_rows_.push_back({u_index(t.j1, ma1, clo),
+                               u_index(t.j2, ma + s - ma1, mb + s - clo),
+                               chi - clo + 1,
+                               t.idxcga + mb * (t.j1 + 1) + clo, c});
+          }
+          o.row_end = static_cast<int>(y_rows_.size());
+          y_out_.push_back(o);
+        }
+      }
+    }
+  }
+}
+
+const SnapIndex& SnapIndex::shared(int twojmax) {
+  EMBER_REQUIRE(twojmax >= 0 && twojmax <= kMaxTwojmax,
+                "twojmax out of supported range");
+  static std::array<std::once_flag, kMaxTwojmax + 1> once;
+  static std::array<std::unique_ptr<const SnapIndex>, kMaxTwojmax + 1> index;
+  std::call_once(once[twojmax], [twojmax] {
+    index[twojmax] = std::make_unique<const SnapIndex>(twojmax);
+  });
+  return *index[twojmax];
 }
 
 int SnapIndex::z_index(int ja, int jb, int j) const {

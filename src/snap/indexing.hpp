@@ -47,6 +47,33 @@ constexpr double half_weight(int j, int ma, int mb) {
   return 0.0;
 }
 
+// Adjoint Y work list (SnapIndex::y_outputs / y_rows). Every atom runs
+// the same sweep, so it is flattened once, with the coupling bounds baked
+// in and the zero-CG rows dropped.
+//
+// One YOutput per (coupling triple, half-range element (ma, mb) of its
+// product block, 2*mb <= j):
+//     Y[e] += coeff[triple] * sum_{r in [row_begin, row_end)} row_r
+struct YOutput {
+  int e = 0;       // half-range element u_half_index(j, ma, mb)
+  int triple = 0;  // index into z_triples()
+  int row_begin = 0;
+  int row_end = 0;
+};
+
+// One YRow per non-zero Clebsch-Gordan row factor of an output:
+//     row = cg_row * sum_{k < n} cg[cg_col + k] * U[u1 + k] * U[u2 - k]
+// over the full-range Utot. u1 walks row ma1 of block j1 forward from
+// column mb1_lo, u2 walks row ma2 of block j2 backward (mb2 = mb + s - mb1),
+// and cg[cg_col..] are the column factors in the aligned CG table.
+struct YRow {
+  int u1 = 0;
+  int u2 = 0;
+  int n = 0;
+  int cg_col = 0;
+  double cg_row = 0.0;
+};
+
 struct BTriple {
   int j1 = 0;
   int j2 = 0;
@@ -59,6 +86,10 @@ inline constexpr int kMaxTwojmax = 24;
 class SnapIndex {
  public:
   explicit SnapIndex(int twojmax);
+
+  // The process-wide immutable index for `twojmax`, built on first use
+  // (thread-safe) and shared read-only by every Bispectrum.
+  [[nodiscard]] static const SnapIndex& shared(int twojmax);
 
   [[nodiscard]] int twojmax() const { return twojmax_; }
 
@@ -105,7 +136,6 @@ class SnapIndex {
   // Block for triple t holds C^{j m}_{j1 m1 j2 m2} for all (m1, m2), flat
   // index (ma1 * (j2+1) + ma2) with ma1 = (j1+2m1)/... = 0..j1 etc.;
   // m = m1 + m2 implied.
-  [[nodiscard]] const std::vector<double>& cg_values() const { return cg_; }
   [[nodiscard]] double cg(const ZTriple& t, int ma1, int ma2) const {
     return cg_[t.idxcg + ma1 * (t.j2 + 1) + ma2];
   }
@@ -113,13 +143,22 @@ class SnapIndex {
   // Aligned CG blocks: the z-element sums walk cg(t, m1, m + s - m1) with
   // m fixed, which strides the raw (m1, m2) block by j2 per step. The
   // aligned block re-lays each triple as (j+1) contiguous rows of (j1+1)
-  // entries,
-  //     aligned_cg_row(t, m)[m1] = C^{j m}_{j1 m1 j2 (m+s-m1)},
-  // zero outside the coupling range, so both the row (ma) and column (mb)
-  // factor lookups of a z element are unit-stride.
-  [[nodiscard]] const double* aligned_cg_row(const ZTriple& t, int m) const {
-    return cg_aligned_.data() + t.idxcga + m * (t.j1 + 1);
+  // entries, row m at t.idxcga + m * (j1+1):
+  //     row m [m1] = C^{j m}_{j1 m1 j2 (m+s-m1)},
+  // zero outside the coupling range, so the column factors of a Y row
+  // (YRow::cg_col) are unit-stride.
+  [[nodiscard]] const std::vector<double>& aligned_cg() const {
+    return cg_aligned_;
   }
+
+  // ---- adjoint Y work list ----
+  // Outputs grouped by element e (ascending), triples ascending within a
+  // group, so a sweep finishes each Y element in registers; each output's
+  // rows are contiguous in y_rows(). At 2J=8: 2386 outputs, 8791 rows.
+  [[nodiscard]] const std::vector<YOutput>& y_outputs() const {
+    return y_out_;
+  }
+  [[nodiscard]] const std::vector<YRow>& y_rows() const { return y_rows_; }
 
  private:
   int twojmax_;
@@ -135,6 +174,8 @@ class SnapIndex {
   std::vector<int> z_block_;  // dense [j1][j2][j] lookup (j1 >= j2)
   int z_total_ = 0;
   std::vector<double> cg_;
+  std::vector<YOutput> y_out_;
+  std::vector<YRow> y_rows_;
 };
 
 }  // namespace ember::snap

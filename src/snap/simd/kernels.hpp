@@ -2,28 +2,39 @@
 
 // Argument blocks and the per-ISA kernel table of the SNAP lane kernel.
 //
-// Lane layout. A block processes `width` neighbors at once, one per
-// vector lane. Every per-neighbor plane is *lane-interleaved*: the value
-// of half-layout element e for lane l lives at plane[e * width + l], so
-// one aligned vector load at offset e * width reads element e of all
-// neighbors in the block. Planes are 64-byte aligned (common/aligned.hpp)
-// and lane offsets are width multiples, so every access is aligned.
+// Three kernels share one lane layout, with two kinds of lane:
 //
-// Remainder policy. The caller pads short blocks: inactive lanes carry a
-// copy of the last active neighbor's Cayley-Klein parameters (keeps the
-// recursion finite) and a zero weight, so their contributions vanish in
-// the weighted accumulation and their force outputs are ignored.
+//   ui_block, dei_block  one neighbor of one atom per lane (neighbor lanes)
+//   yi_block             one atom per lane (atom lanes): Y does the same
+//                        work for every atom, so the CG factors and the
+//                        work list are broadcast and only Utot differs
+//
+// Every per-lane plane is *lane-interleaved*: the value of element e for
+// lane l lives at plane[e * width + l], so one aligned vector load at
+// offset e * width reads element e of every lane. Planes are 64-byte
+// aligned (common/aligned.hpp) and lane offsets are width multiples, so
+// every access is aligned.
+//
+// Remainder policy. The caller pads short blocks. Padded neighbor lanes
+// carry a copy of the last active neighbor's Cayley-Klein parameters
+// (keeps the recursion finite) and a zero weight, so their contributions
+// vanish in the weighted accumulation and their force outputs are
+// ignored. Padded atom lanes hold a finite stale Utot whose Y is never
+// read. No lane reads another lane's data, so a lane's result does not
+// depend on its position or on its block mates.
 //
 // The structs below are plain pointers + sizes so this header needs no
-// intrinsics. The implementations are instantiated in kernels_avx512.cpp
-// (width 8), kernels_avx2.cpp (width 4) — the only TUs allowed to include
-// immintrin.h — and kernels_scalar.cpp (width 1, portable C++).
+// intrinsics. The implementations are instantiated in kernels_avx2.cpp
+// (width 4) — the only TU allowed to include immintrin.h — and
+// kernels_scalar.cpp (width 1, portable C++).
+
+#include "snap/indexing.hpp"
 
 namespace ember::snap::simd {
 
-// Lane-packed Cayley-Klein slots of one block, read by both kernels: slot
-// s of lane l lives at ck[s * width + l]. da/db derivative slots are
-// indexed by Cartesian dim.
+// Lane-packed Cayley-Klein slots of one neighbor block: slot s of lane l
+// lives at ck[s * width + l]. da/db derivative slots are indexed by
+// Cartesian dim.
 inline constexpr int kCkARe = 0;
 inline constexpr int kCkAIm = 1;
 inline constexpr int kCkBRe = 2;
@@ -38,9 +49,11 @@ inline constexpr int kCkW = 20;      // bare neighbor weight wj
 inline constexpr int kCkSlots = 21;
 
 // Batched bare-U half-range recursion + weighted Utot accumulation for
-// one block. Writes the bare per-neighbor U planes (consumed later by
-// dei_block) and accumulates wfc * U into the lane-interleaved Utot
-// accumulator (reduced over lanes by the caller after the last block).
+// one neighbor block. Writes the bare per-neighbor U planes and
+// accumulates wfc * U into the lane-interleaved Utot accumulator (reduced
+// over lanes by the caller after the last block). With acc_re == nullptr
+// it runs the recursion alone: the dE pass replays it to rebuild the bare
+// U that dei_block reads.
 struct UiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;  // u_half_block(j) offsets, twojmax+1
@@ -50,7 +63,23 @@ struct UiBlockArgs {
   double* ur = nullptr;             // bare-U planes out, nh * width each
   double* ui = nullptr;
   double* acc_re = nullptr;         // Utot accumulator, += w * fc * u
-  double* acc_im = nullptr;
+  double* acc_im = nullptr;         //   (nullptr: recursion only)
+};
+
+// Adjoint Y sweep for one block of atoms, one atom per lane. The flat
+// work list of SnapIndex (y_outputs / y_rows) accumulates
+//   Y[e] = half_weight[e] * sum_outputs coeff[triple] * sum_rows row
+// from the full-range Utot into the half-range Y planes (see YRow for
+// one row's sum).
+struct YiBlockArgs {
+  const SnapIndex* index = nullptr; // work list, CG table, half layout
+  int stride = 0;                   // element e of lane l at e * stride + l
+                                    //   (>= width; == width for vectors)
+  const double* uf_re = nullptr;    // full-range Utot in
+  const double* uf_im = nullptr;
+  const double* coeff = nullptr;    // per-triple coefficients
+  double* y_re = nullptr;           // half-range Y out, weight-folded
+  double* y_im = nullptr;
 };
 
 // Batched derivative recursion + fused product rule + Y : dU* adjoint
@@ -65,26 +94,27 @@ struct DeiBlockArgs {
   int nh = 0;
   const double* rootpq = nullptr;
   const double* ck = nullptr;       // kCkSlots * width lane-packed slots
-  const double* ur = nullptr;       // cached bare-U planes of this block
-  const double* ui = nullptr;
+  const double* ur = nullptr;       // bare-U planes of this block
+  const double* ui = nullptr;       //   (ui_block's recursion output)
   double* du_re[3] = {};            // scratch planes, nh * width each
   double* du_im[3] = {};
-  const double* y_re = nullptr;     // half-range Y, element-major,
-  const double* y_im = nullptr;     //   pre-folded with half_weights
+  const double* y_re = nullptr;     // half-range Y of the block's atom
+  const double* y_im = nullptr;     //   lane, element e at e * width,
+                                    //   pre-folded with half_weights
   double* out = nullptr;            // 3 * width: dim-major force lanes
 };
 
 struct SimdOps {
-  int width = 1;  // neighbor lanes per block
+  int width = 1;  // lanes per block
   void (*ui_block)(const UiBlockArgs&) = nullptr;
   void (*dei_block)(const DeiBlockArgs&) = nullptr;
+  void (*yi_block)(const YiBlockArgs&) = nullptr;
 };
 
-// Defined in the per-ISA TUs. The vector tables are only compiled when
-// the toolchain supports the flags (EMBER_SNAP_HAVE_AVX2 /
-// EMBER_SNAP_HAVE_AVX512); the scalar table always is.
+// Defined in the per-ISA TUs. The vector table is only compiled when the
+// toolchain supports the flags (EMBER_SNAP_HAVE_AVX2); the scalar table
+// always is.
 [[nodiscard]] const SimdOps& scalar_ops();
 [[nodiscard]] const SimdOps& avx2_ops();
-[[nodiscard]] const SimdOps& avx512_ops();
 
 }  // namespace ember::snap::simd

@@ -1,5 +1,5 @@
-// AVX2 backend: 4 neighbor lanes per 256-bit register. Compiled with
-// -mavx2 -mfma (per-file, see src/snap/CMakeLists.txt); guarded so a
+// AVX2 backend: 4 neighbor or atom lanes per 256-bit register. Compiled
+// with -mavx2 -mfma (per-file, see src/snap/CMakeLists.txt); guarded so a
 // build that defines EMBER_SNAP_HAVE_AVX2 without the flags still fails
 // loudly rather than emitting illegal instructions.
 
@@ -44,6 +44,7 @@ const SimdOps& avx2_ops() {
       Vec4::width,
       [](const UiBlockArgs& args) { ui_block_impl<Vec4>(args); },
       [](const DeiBlockArgs& args) { dei_block_impl<Vec4>(args); },
+      [](const YiBlockArgs& args) { yi_block_impl<Vec4>(args); },
   };
   return ops;
 }

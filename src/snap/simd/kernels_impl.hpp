@@ -1,18 +1,20 @@
 #pragma once
 
 // The SNAP adjoint lane kernel: the only implementation of the
-// production ui and dei stages.
+// production ui, yi and dei stages.
 //
-// Each template runs one block of `width` neighbors, one neighbor per
-// lane, over the half column range 2*mb <= j (the other columns follow
-// from U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb])). The half
-// recursion is closed: column mb of level j reads column mb-1 (or 0) of
-// level j-1, and mb - 1 <= j/2 - 1 <= (j-1)/2.
+// ui_block and dei_block run one block of `width` neighbors of one atom,
+// one neighbor per lane; yi_block runs one block of `width` atoms, one
+// atom per lane. All three produce the half column range 2*mb <= j
+// (the other columns follow from U[j,ma,mb] = (-1)^(ma+mb)
+// conj(U[j,j-ma,j-mb])); yi_block reads the full-range Utot that the
+// caller expanded from it. The half recursion is closed: column mb of
+// level j reads column mb-1 (or 0) of level j-1, and
+// mb - 1 <= j/2 - 1 <= (j-1)/2.
 //
-// Three translation units instantiate the templates, each with a wrapper
+// Two translation units instantiate the templates, each with a wrapper
 // V over its register type:
 //
-//   kernels_avx512.cpp  width 8  (__m512d)
 //   kernels_avx2.cpp    width 4  (__m256d)
 //   kernels_scalar.cpp  width 1  (double; the portable fallback)
 //
@@ -27,8 +29,8 @@
 //   static V fmsub(a, b, c) = a * b - c
 //   operators *, +, -  (element-wise)
 //
-// The vector widths use single-rounding FMA; width 1 uses a plain
-// multiply-add. Results of the widths differ only by that rounding and
+// Width 4 uses single-rounding FMA; width 1 uses a plain multiply-add.
+// Results of the widths differ only by that rounding and
 // by the lane order of the Utot sum, well inside the 1e-12 parity budget
 // against the Baseline (Z/dB) path.
 //
@@ -96,6 +98,8 @@ void ui_block_impl(const UiBlockArgs& g) {
     }
   }
 
+  if (g.acc_re == nullptr) return;  // replay: the recursion alone
+
   // Weighted Utot accumulation: acc += w * fc * u. Padded lanes carry
   // w = 0, so their recursion output never reaches the accumulator.
   const V w = V::load(g.ck + kCkW * kW) * V::load(g.ck + kCkFc * kW);
@@ -134,7 +138,7 @@ void dei_block_impl(const DeiBlockArgs& g) {
   }
 
   // Derivative-only recursion over the half range; the bare U values the
-  // chain rule needs come from the lane-interleaved cache of ui_block.
+  // chain rule needs come from ui_block's recursion over the same block.
   for (int j = 1; j <= tj; ++j) {
     const int blk = g.half_block[j];
     const int pblk = g.half_block[j - 1];
@@ -214,8 +218,8 @@ void dei_block_impl(const DeiBlockArgs& g) {
   V s0 = V::zero();
   V s[3] = {V::zero(), V::zero(), V::zero()};
   for (int e = 0; e < g.nh; ++e) {
-    const V yr = V::broadcast(g.y_re[e]);
-    const V yi = V::broadcast(g.y_im[e]);
+    const V yr = V::broadcast(g.y_re[e * kW]);
+    const V yi = V::broadcast(g.y_im[e * kW]);
     const int o = e * kW;
     s0 = V::fma(yr, V::load(g.ur + o), s0);
     s0 = V::fma(yi, V::load(g.ui + o), s0);
@@ -229,6 +233,56 @@ void dei_block_impl(const DeiBlockArgs& g) {
   for (int d = 0; d < 3; ++d) {
     const V dfc = V::load(ck + (kCkDfc0 + d) * kW);
     (w * V::fma(dfc, s0, fc * s[d])).store_to(g.out + d * kW);
+  }
+}
+
+template <class V>
+void yi_block_impl(const YiBlockArgs& g) {
+  const SnapIndex& idx = *g.index;
+  const int st = g.stride;
+
+  // Work-list sweep, one Y element at a time. Bounds and zero-CG rows
+  // were resolved when the list was built, so the loops carry no
+  // branches; every load is one aligned vector of `width` atoms and
+  // every CG factor a broadcast.
+  const std::vector<YOutput>& outs = idx.y_outputs();
+  const YRow* rows = idx.y_rows().data();
+  for (std::size_t o = 0; o < outs.size();) {
+    const int e = outs[o].e;
+    V yr = V::zero();
+    V yi = V::zero();
+    for (; o < outs.size() && outs[o].e == e; ++o) {
+      const YOutput& out = outs[o];
+      V zr = V::zero();
+      V zi = V::zero();
+      for (int r = out.row_begin; r < out.row_end; ++r) {
+        const YRow& row = rows[r];
+        const double* c = idx.aligned_cg().data() + row.cg_col;
+        V sr = V::zero();
+        V si = V::zero();
+        for (int k = 0; k < row.n; ++k) {
+          // s += c[k] * (U[u1 + k] * U[u2 - k])
+          const V ck = V::broadcast(c[k]);
+          const V a_re = V::load(g.uf_re + (row.u1 + k) * st);
+          const V a_im = V::load(g.uf_im + (row.u1 + k) * st);
+          const V b_re = V::load(g.uf_re + (row.u2 - k) * st);
+          const V b_im = V::load(g.uf_im + (row.u2 - k) * st);
+          sr = V::fma(ck, V::fmsub(a_re, b_re, a_im * b_im), sr);
+          si = V::fma(ck, V::fma(a_re, b_im, a_im * b_re), si);
+        }
+        const V cr = V::broadcast(row.cg_row);
+        zr = V::fma(cr, sr, zr);
+        zi = V::fma(cr, si, zi);
+      }
+      const V coeff = V::broadcast(g.coeff[out.triple]);
+      yr = V::fma(coeff, zr, yr);
+      yi = V::fma(coeff, zi, yi);
+    }
+    // Fold the contraction weight in, so the energy and force
+    // contractions are plain dot products over the half range.
+    const V hw = V::broadcast(idx.half_weights()[e]);
+    (hw * yr).store_to(g.y_re + e * st);
+    (hw * yi).store_to(g.y_im + e * st);
   }
 }
 

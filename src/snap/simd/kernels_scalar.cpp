@@ -1,6 +1,8 @@
-// Scalar backend: the lane kernel at width 1, one neighbor per block.
-// Intrinsics-free and compiled with the base flags, so it runs on every
-// host; EMBER_SIMD=scalar selects it on x86 as well.
+// Scalar backend: the lane kernel at width 1, one neighbor (ui/dei) or
+// one atom (yi) per block. Intrinsics-free and compiled with the base
+// flags, so it runs on every host; EMBER_SIMD=scalar selects it on x86
+// as well. The per-atom Bispectrum::compute_yi[_coeffs] always runs this
+// table's yi_block.
 
 #include "snap/simd/kernels_impl.hpp"
 
@@ -33,6 +35,7 @@ const SimdOps& scalar_ops() {
       Vec1::width,
       [](const UiBlockArgs& args) { ui_block_impl<Vec1>(args); },
       [](const DeiBlockArgs& args) { dei_block_impl<Vec1>(args); },
+      [](const YiBlockArgs& args) { yi_block_impl<Vec1>(args); },
   };
   return ops;
 }

@@ -1,5 +1,6 @@
 #include "snap_potential.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -127,7 +128,8 @@ void check_ncoeff(std::size_t n, int twojmax, const std::string& path) {
     model_error(path, "twojmax",
                 "must be in [0, " + std::to_string(kMaxTwojmax) + "]");
   }
-  const auto want = static_cast<std::size_t>(SnapIndex(twojmax).num_b());
+  const auto want =
+      static_cast<std::size_t>(SnapIndex::shared(twojmax).num_b());
   if (n != want) {
     model_error(path, "ncoeff",
                 std::to_string(n) + " coefficients, but twojmax " +
@@ -190,9 +192,12 @@ SnapModel SnapModel::load(const std::string& path) {
   return m;
 }
 
-SnapPotential::Scratch::Scratch(const SnapModel& model) : bi(model.params) {
-  rij.reserve(kNeighborReserve);
-  jlist.reserve(kNeighborReserve);
+SnapPotential::Scratch::Scratch(const SnapModel& model)
+    : bi(model.params),
+      rij(bi.lane_width()),
+      jlist(bi.lane_width()) {
+  for (auto& r : rij) r.reserve(kNeighborReserve);
+  for (auto& j : jlist) j.reserve(kNeighborReserve);
   beta_eff.reserve(model.beta.size());
   de.reserve(kNeighborReserve);
 }
@@ -250,6 +255,7 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
   // sys.f, workers >= 1 write private arrays merged deterministically.
   ctx.prepare_scatter(sys.ntotal());
 
+  // Grain 8: each chunk is whole atom blocks at every lane width.
   ctx.pool().parallel_for(abegin, aend, /*grain=*/8,
                           [&](int tid, int bb, int ee) {
     auto& s = ctx.scratch(tid);
@@ -267,85 +273,91 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
     double ui_s = 0.0, yi_s = 0.0, dei_s = 0.0;
     long atoms = 0, neighbors = 0;
     WallTimer stage;
+    // Linear adjoint models run Y over atom blocks, one atom per lane.
+    // Quadratic models need each atom's own B before its Y, and the
+    // Baseline path has no Y, so both run one atom at a time.
+    const bool blocked = path_ == Path::Adjoint && !model_.quadratic();
+    const int width = blocked ? bi.lane_width() : 1;
 
-    for (int i = bb; i < ee; ++i) {
-      sc.rij.clear();
-      sc.jlist.clear();
-      for (const auto& en : nl.neighbors(i)) {
-        const Vec3 d = sys.x[en.j] + en.shift - sys.x[i];
-        if (d.norm2() < rc2) {
-          sc.rij.push_back(d);
-          sc.jlist.push_back(en.j);
+    for (int i0 = bb; i0 < ee; i0 += width) {
+      const int na = std::min(width, ee - i0);
+      for (int a = 0; a < na; ++a) {
+        sc.rij[a].clear();
+        sc.jlist[a].clear();
+        for (const auto& en : nl.neighbors(i0 + a)) {
+          const Vec3 d = sys.x[en.j] + en.shift - sys.x[i0 + a];
+          if (d.norm2() < rc2) {
+            sc.rij[a].push_back(d);
+            sc.jlist[a].push_back(en.j);
+          }
         }
+        atoms += 1;
+        neighbors += static_cast<long>(sc.rij[a].size());
       }
 
       if (detail) stage.reset();
-      bi.compute_ui(sc.rij, {});
-      if (detail) ui_s += stage.seconds();
-      const int nn = static_cast<int>(sc.rij.size());
-      atoms += 1;
-      neighbors += nn;
-
-      if (path_ == Path::Adjoint) {
-        if (detail) stage.reset();
-        if (model_.quadratic()) {
-          // Quadratic models need the descriptors before Y: dE/dB depends
-          // on B itself, so compute B and feed the adjoint the per-atom
-          // effective coefficients beta + alpha B (LAMMPS quadraticflag).
-          bi.compute_zi();
-          bi.compute_bi();
-          model_.effective_beta(bi.blist(), sc.beta_eff);
-          bi.compute_yi(sc.beta_eff);
-          s.energy += model_.site_energy(bi.blist());
-        } else {
-          // Linear: the per-triple coefficient fold was done once at
-          // construction.
-          bi.compute_yi_coeffs(y_coeff_);
-          s.energy += bi.energy_from_yi(model_.beta0, model_.beta);
+      for (int a = 0; a < na; ++a) {
+        // The per-atom form also fills utot(), which compute_zi reads.
+        blocked ? bi.compute_ui(sc.rij[a], {}, a)
+                : bi.compute_ui(sc.rij[a], {});
+      }
+      if (detail) {
+        ui_s += stage.seconds();
+        stage.reset();
+      }
+      if (blocked) {
+        // The per-triple coefficient fold was done once at construction.
+        bi.compute_yi_block(y_coeff_);
+        for (int a = 0; a < na; ++a) {
+          s.energy += bi.energy_from_yi(model_.beta0, model_.beta, a);
         }
-        if (detail) {
-          yi_s += stage.seconds();
-          stage.reset();
-        }
-        // Blocked dU + dE pass over lane-width blocks of neighbors.
-        sc.de.resize(nn);
-        bi.compute_deidrj_all(sc.de);
-        for (int m = 0; m < nn; ++m) {
-          const Vec3 de = sc.de[m];  // dE_i/dr_k
-          f[sc.jlist[m]] -= de;
-          f[i] += de;
-          s.virial += -dot(sc.rij[m], de);
-        }
-        if (detail) dei_s += stage.seconds();
-        s.flops += bi.flops_adjoint_atom(nn);
       } else {
-        if (detail) stage.reset();
+        // dE/dB = beta + alpha B depends on B itself (LAMMPS
+        // quadraticflag), so B comes first.
         bi.compute_zi();
         bi.compute_bi();
         s.energy += model_.site_energy(bi.blist());
         model_.effective_beta(bi.blist(), sc.beta_eff);
-        if (detail) {
-          yi_s += stage.seconds();
-          stage.reset();
-        }
-        for (int m = 0; m < nn; ++m) {
+        if (path_ == Path::Adjoint) bi.compute_yi(sc.beta_eff);
+      }
+      if (detail) {
+        yi_s += stage.seconds();
+        stage.reset();
+      }
+
+      for (int a = 0; a < na; ++a) {
+        const int i = i0 + a;
+        const std::vector<Vec3>& rij = sc.rij[a];
+        const int nn = static_cast<int>(rij.size());
+        sc.de.resize(nn);
+        if (path_ == Path::Adjoint) {
+          // Blocked dU + dE pass over lane-width blocks of neighbors.
+          bi.compute_deidrj_all(sc.de, a);
+          s.flops += bi.flops_adjoint_atom(nn);
+        } else {
           // dB needs the full-range dU list (compute_dbidrj contracts
           // every Z element), so the baseline path runs its own full
           // recursion per neighbor.
-          bi.compute_duidrj(sc.rij[m], 1.0);
-          bi.compute_dbidrj();
-          Vec3 de;
-          for (int l = 0; l < bi.num_b(); ++l) {
-            de += sc.beta_eff[l] * bi.dblist()[l];
+          for (int m = 0; m < nn; ++m) {
+            bi.compute_duidrj(rij[m], 1.0);
+            bi.compute_dbidrj();
+            Vec3 de;
+            for (int l = 0; l < bi.num_b(); ++l) {
+              de += sc.beta_eff[l] * bi.dblist()[l];
+            }
+            sc.de[m] = de;
           }
-          f[sc.jlist[m]] -= de;
-          f[i] += de;
-          s.virial += -dot(sc.rij[m], de);
+          s.flops += bi.flops_ui(nn) + bi.flops_zi() + bi.flops_bi() +
+                     nn * (bi.flops_duidrj_full() + bi.flops_dbidrj());
         }
-        if (detail) dei_s += stage.seconds();
-        s.flops += bi.flops_ui(nn) + bi.flops_zi() + bi.flops_bi() +
-                   nn * (bi.flops_duidrj_full() + bi.flops_dbidrj());
+        for (int m = 0; m < nn; ++m) {
+          const Vec3 de = sc.de[m];  // dE_i/dr_k
+          f[sc.jlist[a][m]] -= de;
+          f[i] += de;
+          s.virial += -dot(rij[m], de);
+        }
       }
+      if (detail) dei_s += stage.seconds();
     }
 
     if (detail) {

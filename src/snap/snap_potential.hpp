@@ -57,10 +57,12 @@ class SnapPotential final : public md::PairPotential {
     return path_ == Path::Adjoint ? "snap/adjoint" : "snap/baseline";
   }
 
-  // Threaded over atom blocks: worker 0 uses the member scratch (the
+  // Threaded over atom chunks: worker 0 uses the member scratch (the
   // exact serial path), workers >= 1 get their own from the context's
   // per-thread cache — the per-atom U/Y/dU arrays are allocated once per
-  // thread, never shared.
+  // thread, never shared (the SnapIndex is, read-only). The linear
+  // adjoint path runs each chunk in atom blocks of the lane width: ui per
+  // atom, one Y sweep per block (one atom per lane), dE per atom.
   using md::PairPotential::compute;
   md::EnergyVirial compute(const md::ComputeContext& ctx, md::System& sys,
                            const md::NeighborList& nl) override;
@@ -77,8 +79,9 @@ class SnapPotential final : public md::PairPotential {
   struct Scratch {
     explicit Scratch(const SnapModel& model);
     Bispectrum bi;
-    std::vector<Vec3> rij;
-    std::vector<int> jlist;
+    // Per atom lane of a block: in-cutoff displacements and neighbor ids.
+    std::vector<std::vector<Vec3>> rij;
+    std::vector<std::vector<int>> jlist;
     std::vector<double> beta_eff;
     std::vector<Vec3> de;  // blocked dE_i/dr_k results
   };

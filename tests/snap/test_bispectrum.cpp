@@ -243,5 +243,36 @@ TEST(Bispectrum, FlopEstimatesArePositiveAndOrdered) {
   EXPECT_GT(b8.flops_dbidrj(), 5.0 * b8.flops_deidrj());
 }
 
+TEST(Bispectrum, FlopCountsAreCachedFromTheYWorkList) {
+  for (const int tj : {2, 8, 14}) {
+    SnapParams p;
+    p.twojmax = tj;
+    const Bispectrum bi(p);
+    const SnapIndex& idx = bi.index();
+    // yi executes 10 flops per work-list term, 4 per row, 4 per output
+    // and 2 per half element for the weight fold.
+    double terms = 0.0;
+    for (const YRow& r : idx.y_rows()) terms += r.n;
+    EXPECT_EQ(bi.flops_yi(),
+              10.0 * terms + 4.0 * static_cast<double>(idx.y_rows().size()) +
+                  4.0 * static_cast<double>(idx.y_outputs().size()) +
+                  2.0 * idx.u_half_total());
+    double bi_flops = 0.0;
+    double db_flops = 0.0;
+    for (const auto& bt : idx.b_triples()) {
+      bi_flops += 4.0 * (bt.j + 1) * (bt.j + 1);
+      db_flops += 12.0 * ((bt.j + 1) * (bt.j + 1) +
+                          (bt.j1 + 1) * (bt.j1 + 1) +
+                          (bt.j2 + 1) * (bt.j2 + 1));
+    }
+    EXPECT_EQ(bi.flops_bi(), bi_flops);
+    EXPECT_EQ(bi.flops_dbidrj(), db_flops);
+    // The adjoint atom total adds per-neighbor work to the cached Y count.
+    EXPECT_EQ(bi.flops_adjoint_atom(0), bi.flops_yi());
+    EXPECT_EQ(bi.flops_adjoint_atom(3) - bi.flops_adjoint_atom(2),
+              bi.flops_ui(1) + bi.flops_duidrj() + bi.flops_deidrj());
+  }
+}
+
 }  // namespace
 }  // namespace ember::snap

@@ -1,9 +1,12 @@
-// Tests for the SNAP index tables: block offsets, component counts, and the
-// canonical-triple bookkeeping used by the adjoint accumulation.
+// Tests for the SNAP index tables: block offsets, component counts, the
+// canonical-triple bookkeeping used by the adjoint accumulation, and the
+// flat Y work list the atom-lane sweep runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 #include "snap/factorial.hpp"
 #include "snap/indexing.hpp"
@@ -109,6 +112,84 @@ TEST(SnapIndex, CgBlocksMatchDirectEvaluation) {
             idx.cg(t, ma1, ma2),
             clebsch_gordan(t.j1, twom1, t.j2, twom2, t.j, twom1 + twom2));
       }
+    }
+  }
+}
+
+TEST(SnapIndex, YWorkListHasOneOutputPerHalfElementOfEveryTriple) {
+  for (const int tj : {0, 2, 4, 8, 14}) {
+    const SnapIndex idx(tj);
+    const auto& out = idx.y_outputs();
+    std::set<std::pair<int, int>> seen;
+    std::size_t want = 0;
+    for (const auto& t : idx.z_triples()) {
+      want += static_cast<std::size_t>(t.j + 1) * (t.j / 2 + 1);
+    }
+    ASSERT_EQ(out.size(), want) << "2J=" << tj;
+    int next_row = 0;
+    for (const YOutput& o : out) {
+      const ZTriple& t = idx.z_triples()[o.triple];
+      EXPECT_GE(o.e, idx.u_half_block(t.j));
+      EXPECT_LT(o.e, idx.u_half_block(t.j) + (t.j + 1) * (t.j / 2 + 1));
+      EXPECT_TRUE(seen.insert({o.triple, o.e}).second)
+          << "2J=" << tj << " duplicate output " << o.triple << "/" << o.e;
+      // Rows are contiguous and in output order.
+      EXPECT_EQ(o.row_begin, next_row);
+      EXPECT_LE(o.row_begin, o.row_end);
+      next_row = o.row_end;
+    }
+    EXPECT_EQ(next_row, static_cast<int>(idx.y_rows().size()));
+  }
+}
+
+TEST(SnapIndex, YWorkListRowsAreTheNonZeroCouplingRows) {
+  for (const int tj : {2, 8, 14}) {
+    const SnapIndex idx(tj);
+    // Trip count of the unflattened half-column sweep over non-zero rows.
+    long terms_want = 0;
+    for (const auto& t : idx.z_triples()) {
+      const int s = (t.j1 + t.j2 - t.j) / 2;
+      for (int ma = 0; ma <= t.j; ++ma) {
+        for (int mb = 0; 2 * mb <= t.j; ++mb) {
+          const int cols = std::min(t.j1, mb + s) -
+                           std::max(0, mb + s - t.j2) + 1;
+          for (int ma1 = std::max(0, ma + s - t.j2);
+               ma1 <= std::min(t.j1, ma + s); ++ma1) {
+            if (idx.cg(t, ma1, ma + s - ma1) != 0.0) terms_want += cols;
+          }
+        }
+      }
+    }
+    long terms = 0;
+    for (const YOutput& o : idx.y_outputs()) {
+      const ZTriple& t = idx.z_triples()[o.triple];
+      const int s = (t.j1 + t.j2 - t.j) / 2;
+      const int hs = t.j / 2 + 1;
+      const int ma = (o.e - idx.u_half_block(t.j)) / hs;
+      const int mb = (o.e - idx.u_half_block(t.j)) % hs;
+      for (int r = o.row_begin; r < o.row_end; ++r) {
+        const YRow& row = idx.y_rows()[r];
+        ASSERT_GT(row.n, 0);
+        terms += row.n;
+        const int ma1 = (row.u1 - idx.u_block(t.j1)) / (t.j1 + 1);
+        const int mb1 = (row.u1 - idx.u_block(t.j1)) % (t.j1 + 1);
+        const int ma2 = (row.u2 - idx.u_block(t.j2)) / (t.j2 + 1);
+        const int mb2 = (row.u2 - idx.u_block(t.j2)) % (t.j2 + 1);
+        EXPECT_NE(row.cg_row, 0.0);
+        EXPECT_EQ(ma1 + ma2, ma + s);
+        EXPECT_EQ(mb1 + mb2, mb + s);
+        EXPECT_EQ(row.cg_row, idx.cg(t, ma1, ma2));
+        for (int k = 0; k < row.n; ++k) {
+          EXPECT_EQ(idx.aligned_cg()[row.cg_col + k],
+                    idx.cg(t, mb1 + k, mb2 - k));
+        }
+      }
+    }
+    EXPECT_EQ(terms, terms_want) << "2J=" << tj;
+    if (tj == 8) {
+      EXPECT_EQ(idx.y_outputs().size(), 2386u);
+      EXPECT_EQ(idx.y_rows().size(), 8791u);
+      EXPECT_EQ(terms, 40732);
     }
   }
 }
