@@ -85,7 +85,7 @@ fi
 rm -rf "$TRACE_TMP"
 build/src/app/ember_run examples/inputs/snap_stages.in
 if command -v python3 >/dev/null; then
-  python3 -c 'import json; c = json.load(open("snap_stages_metrics.json"))["counters"]; a = c["snap.atoms"]; assert a > 0 and c["snap.yi_seconds"] > 0, c; print(" ".join("%s %.1f us/atom" % (s, 1e6 * c["snap.%s_seconds" % s] / a) for s in ("ui", "yi", "dei")))'
+  python3 -c 'import json; c = json.load(open("snap_stages_metrics.json"))["counters"]; a = c["snap.atoms"]; assert a > 0 and all(c["snap.%s_seconds" % s] > 0 for s in ("ui", "yi", "dei")), c; print(" ".join("%s %.1f us/atom" % (s, 1e6 * c["snap.%s_seconds" % s] / a) for s in ("ui", "yi", "dei")))'
 fi
 rm -f snap_stages_trace.json snap_stages_metrics.json
 

@@ -16,8 +16,9 @@ namespace ember::snap {
 // paper's own numbers come from measured FLOP counters, so these serve the
 // same role (converting measured time into a FLOP rate). The adjoint
 // counts cover the half column range the lane kernel executes: the Y
-// work-list terms, and the dU pass with its replayed U recursion. The
-// atom-independent counts are taken once, at construction.
+// work-list terms, and the dE pass (replayed U recursion, reverse sweep,
+// chain rule). The atom-independent counts are taken once, at
+// construction.
 
 namespace {
 double z_sweep_flops(const SnapIndex& idx) {
@@ -84,10 +85,8 @@ Bispectrum::Bispectrum(const SnapParams& params)
   y_im_.resize(static_cast<std::size_t>(nh) * w);
   lane_acc_re_.resize(static_cast<std::size_t>(nh) * w);
   lane_acc_im_.resize(static_cast<std::size_t>(nh) * w);
-  for (int d = 0; d < 3; ++d) {
-    lane_du_re_[d].resize(static_cast<std::size_t>(nh) * w);
-    lane_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
-  }
+  lane_lam_re_.resize(static_cast<std::size_t>(nh) * w);
+  lane_lam_im_.resize(static_cast<std::size_t>(nh) * w);
   lane_out_.resize(3 * w);
 
   flops_.zi = z_sweep_flops(idx_);
@@ -392,7 +391,8 @@ void Bispectrum::compute_deidrj_all(std::span<Vec3> de, int lane) {
   const int w = ops_.width;
   const int nblk = (nn + w - 1) / w;
   EMBER_CHECK(EMBER_REQUIRE(
-      is_aligned(ucache_re_.data()) && is_aligned(lane_du_re_[0].data()),
+      is_aligned(ucache_re_.data()) && is_aligned(ucache_im_.data()) &&
+          is_aligned(lane_lam_re_.data()) && is_aligned(lane_lam_im_.data()),
       "SNAP lane-kernel planes must be 64-byte aligned"));
 
   simd::DeiBlockArgs args;
@@ -402,10 +402,8 @@ void Bispectrum::compute_deidrj_all(std::span<Vec3> de, int lane) {
   args.rootpq = rootpq_.data();
   args.ur = ucache_re_.data();
   args.ui = ucache_im_.data();
-  for (int d = 0; d < 3; ++d) {
-    args.du_re[d] = lane_du_re_[d].data();
-    args.du_im[d] = lane_du_im_[d].data();
-  }
+  args.lam_re = lane_lam_re_.data();
+  args.lam_im = lane_lam_im_.data();
   args.y_re = y_re_.data() + lane;
   args.y_im = y_im_.data() + lane;
   args.out = lane_out_.data();
@@ -509,15 +507,15 @@ double Bispectrum::flops_duidrj_full() const {
 }
 
 double Bispectrum::flops_duidrj() const {
-  // The replayed bare U recursion (~22) and the derivative recursion (48)
-  // per half element; the product rule is fused into the contraction
-  // (see flops_deidrj).
-  return (22.0 + 48.0) * static_cast<double>(idx_.u_half_total());
+  // Per half element: the replayed bare U recursion (~22) and the reverse
+  // sweep, 2 parents x (scale 2 + scatter 8 + constant gradient 8) = 36.
+  return (22.0 + 36.0) * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_deidrj() const {
-  // fused pass: S0 (4) + three Sd dots (12) per half element.
-  return 16.0 * static_cast<double>(idx_.u_half_total());
+  // Seed: S0 = Y . U (4) per half element; chain rule per neighbor:
+  // 3 dims x (G . (da, db) 7 + product rule 4).
+  return 4.0 * static_cast<double>(idx_.u_half_total()) + 33.0;
 }
 
 double Bispectrum::flops_adjoint_atom(int nnbor) const {

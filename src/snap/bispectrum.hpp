@@ -26,7 +26,9 @@
 //   yi   one atom per lane: the flat work list of SnapIndex swept over a
 //        block of up to lane-width atoms (compute_yi_block).
 //   dei  per atom, one neighbor per lane: replays the U recursion from the
-//        kept mappings, then the fused dU + Y : conj(dU) pass.
+//        kept mappings, then one reverse (adjoint) sweep carries Y down
+//        the recursion to dE/da, dE/db, and the chain rule through the
+//        mapping's da/db gives the force. No dU is formed.
 //
 // The lane width is chosen at construction from the CPU: 4 (AVX2, also
 // on AVX-512 hosts) or 1 (portable scalar), and the EMBER_SIMD
@@ -125,11 +127,12 @@ class Bispectrum {
   // the dU buffer compute_dbidrj contracts.
   void compute_duidrj(const Vec3& rij, double wj);
 
-  // Adjoint: blocked dU + dE pass over every neighbor of atom lane
-  // `lane`: de[k] = dE_i/dr_k = Y : conj(dU_k). Requires a Y stage since
-  // that lane's compute_ui. Each block of lane-width neighbors replays the
-  // U recursion, then runs the derivative recursion and the fused
-  // contraction in registers.
+  // Adjoint: blocked dE pass over every neighbor of atom lane `lane`:
+  // de[k] = dE_i/dr_k = Y : conj(dU_k). Requires a Y stage since that
+  // lane's compute_ui. Each block of lane-width neighbors replays the U
+  // recursion, then one reverse sweep over it back-propagates Y to the
+  // gradient with respect to the Cayley-Klein a, b, contracted with
+  // da/db and the switching function.
   void compute_deidrj_all(std::span<Vec3> de, int lane = 0);
 
   // ISA the lane kernel dispatched to at construction, and its width
@@ -169,7 +172,8 @@ class Bispectrum {
 
   // ---- analytic FLOP estimates (double-precision mul+add counted as 2) --
   // The adjoint counts follow the lane kernel: the halved column range,
-  // the Y work-list terms and the dU pass with its replayed U recursion.
+  // the Y work-list terms and the dE pass (replayed U recursion plus the
+  // reverse sweep).
   // Padded lanes are not counted. The atom-independent counts are fixed
   // at construction, so every call is O(1).
   [[nodiscard]] double flops_ui(int nnbor) const;
@@ -242,8 +246,8 @@ class Bispectrum {
   std::vector<double> yi_coeff_scratch_;  // per-triple beta fold
   aligned_vector<double> lane_acc_re_;  // lane-interleaved Utot accum
   aligned_vector<double> lane_acc_im_;
-  aligned_vector<double> lane_du_re_[3]; // lane-interleaved dU scratch
-  aligned_vector<double> lane_du_im_[3];
+  aligned_vector<double> lane_lam_re_;  // lane-interleaved adjoint
+  aligned_vector<double> lane_lam_im_;  //   dS0/dU scratch
   aligned_vector<double> lane_out_;     // 3 x width force lanes
 };
 

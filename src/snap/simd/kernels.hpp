@@ -53,7 +53,7 @@ inline constexpr int kCkSlots = 21;
 // accumulates wfc * U into the lane-interleaved Utot accumulator (reduced
 // over lanes by the caller after the last block). With acc_re == nullptr
 // it runs the recursion alone: the dE pass replays it to rebuild the bare
-// U that dei_block reads.
+// U that dei_block's reverse sweep reads.
 struct UiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;  // u_half_block(j) offsets, twojmax+1
@@ -82,12 +82,14 @@ struct YiBlockArgs {
   double* y_im = nullptr;
 };
 
-// Batched derivative recursion + fused product rule + Y : dU* adjoint
-// contraction for one block: for each lane l and Cartesian dim d,
+// Reverse-mode dE for one block: for each lane l and Cartesian dim d,
 //   out[d * width + l] = w_l * (dfc_dl * S0_l + fc_l * Sd_l)
-// with S0 = sum_e y[e] . u[e] and Sd = sum_e y[e] . du_d[e] over the
-// (weight-folded) half-range Y planes: the product rule
-// d(w fc u) = w (dfc u + fc du) distributed over the Y dot product.
+// with S0 = sum_e y[e] . u[e] over the (weight-folded) half-range Y
+// planes and Sd = dS0/dx_d, taken by one adjoint sweep over the bare U
+// planes (ur/ui, from ui_block's replay of the block) that back-propagates
+// Y down the recursion into the gradient of S0 with respect to the
+// Cayley-Klein a and b, then the chain rule through da/db. The product
+// rule d(w fc u) = w (dfc u + fc du) is distributed over the Y dot product.
 struct DeiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;
@@ -96,8 +98,8 @@ struct DeiBlockArgs {
   const double* ck = nullptr;       // kCkSlots * width lane-packed slots
   const double* ur = nullptr;       // bare-U planes of this block
   const double* ui = nullptr;       //   (ui_block's recursion output)
-  double* du_re[3] = {};            // scratch planes, nh * width each
-  double* du_im[3] = {};
+  double* lam_re = nullptr;         // adjoint scratch planes dS0/dU,
+  double* lam_im = nullptr;         //   nh * width each
   const double* y_re = nullptr;     // half-range Y of the block's atom
   const double* y_im = nullptr;     //   lane, element e at e * width,
                                     //   pre-folded with half_weights

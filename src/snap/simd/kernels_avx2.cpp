@@ -32,6 +32,9 @@ struct Vec4 {
   static Vec4 fmsub(Vec4 a, Vec4 b, Vec4 c) {
     return {_mm256_fmsub_pd(a.v, b.v, c.v)};
   }
+  static Vec4 fnma(Vec4 a, Vec4 b, Vec4 c) {
+    return {_mm256_fnmadd_pd(a.v, b.v, c.v)};
+  }
   friend Vec4 operator*(Vec4 a, Vec4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend Vec4 operator+(Vec4 a, Vec4 b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend Vec4 operator-(Vec4 a, Vec4 b) { return {_mm256_sub_pd(a.v, b.v)}; }

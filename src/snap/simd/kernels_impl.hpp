@@ -12,6 +12,28 @@
 // level j reads column mb-1 (or 0) of level j-1, and
 // mb - 1 <= j/2 - 1 <= (j-1)/2.
 //
+// dei_block differentiates in reverse mode. Every half element f of
+// level j is a sum over its (at most two) parents p in level j-1,
+//   U_f = sum_p r_fp c_fp U_p,   r_fp = sqrt(p/q) table entry,
+// with one column constant pair per (j, mb): the ma > 0 parent carries
+// cu, the ma < j parent cd, and
+//   mb > 0:  cu = a,         cd = b
+//   mb = 0:  cu = -conj(b),  cd = conj(a).
+// The force needs S = sum_e y[e] . U_e (x . z = Re(conj(x) z)) and its
+// derivative along the mapping. Treat re and im parts as independent
+// reals and write Lambda_e = dS/dRe U_e + i dS/dIm U_e. Then
+// Lambda_e = y[e] + sum over e's children f of r_fe conj(c_fe) Lambda_f,
+// complete for level j once level j+1 is swept, so one pass j = 2J .. 1
+// scatters each child into its parents. The same pass accumulates, per
+// column, the gradient with respect to the constants it used,
+//   dS/dRe c += r Re(conj(Lambda_f) U_p)
+//   dS/dIm c += r (Im Lambda_f Re U_p - Re Lambda_f Im U_p),
+// and folds it into the gradient G with respect to (Re a, Im a, Re b,
+// Im b) through the column's map above (mb = 0: dRe b -= dRe cu,
+// dIm b += dIm cu, dRe a += dRe cd, dIm a -= dIm cd). The chain rule
+// is then Sd = G . (dRe a/dx_d, dIm a/dx_d, dRe b/dx_d, dIm b/dx_d). No
+// derivative plane is formed: the sweep reads U and one Lambda plane pair.
+//
 // Two translation units instantiate the templates, each with a wrapper
 // V over its register type:
 //
@@ -27,6 +49,7 @@
 //   static V neg(V);
 //   static V fma(a, b, c)   = a * b + c
 //   static V fmsub(a, b, c) = a * b - c
+//   static V fnma(a, b, c)  = c - a * b
 //   operators *, +, -  (element-wise)
 //
 // Width 4 uses single-rounding FMA; width 1 uses a plain multiply-add.
@@ -115,31 +138,37 @@ void dei_block_impl(const DeiBlockArgs& g) {
   constexpr int kW = V::width;
   const int tj = g.twojmax;
   const double* ck = g.ck;
+  double* lr = g.lam_re;
+  double* li = g.lam_im;
+
+  // Seed: Lambda = Y on every half element (element 0 included), and
+  // S0 = sum_e y[e] . u[e] in two chains (re and im), per lane.
+  V s0r = V::zero();
+  V s0i = V::zero();
+  for (int e = 0; e < g.nh; ++e) {
+    const int o = e * kW;
+    const V yr = V::broadcast(g.y_re[o]);
+    const V yi = V::broadcast(g.y_im[o]);
+    yr.store_to(lr + o);
+    yi.store_to(li + o);
+    s0r = V::fma(yr, V::load(g.ur + o), s0r);
+    s0i = V::fma(yi, V::load(g.ui + o), s0i);
+  }
 
   const V are = V::load(ck + kCkARe * kW);
   const V aim = V::load(ck + kCkAIm * kW);
   const V bre = V::load(ck + kCkBRe * kW);
   const V bim = V::load(ck + kCkBIm * kW);
-  V dar[3];
-  V dai[3];
-  V dbr[3];
-  V dbi[3];
-  for (int d = 0; d < 3; ++d) {
-    dar[d] = V::load(ck + (kCkDaRe0 + d) * kW);
-    dai[d] = V::load(ck + (kCkDaIm0 + d) * kW);
-    dbr[d] = V::load(ck + (kCkDbRe0 + d) * kW);
-    dbi[d] = V::load(ck + (kCkDbIm0 + d) * kW);
-  }
+  // Gradient of S = sum_e y[e] . u[e] with respect to a and b.
+  V gar = V::zero();
+  V gai = V::zero();
+  V gbr = V::zero();
+  V gbi = V::zero();
 
-  // Element 0 of the bare derivative is zero on every dim and lane.
-  for (int d = 0; d < 3; ++d) {
-    V::zero().store_to(g.du_re[d]);
-    V::zero().store_to(g.du_im[d]);
-  }
-
-  // Derivative-only recursion over the half range; the bare U values the
-  // chain rule needs come from ui_block's recursion over the same block.
-  for (int j = 1; j <= tj; ++j) {
+  // Reverse sweep, j = 2J .. 1. Lambda of level j is complete once level
+  // j + 1 has been swept; each child f scatters into its two parents and
+  // adds its terms to the gradient of the column's constants (cu, cd).
+  for (int j = tj; j >= 1; --j) {
     const int blk = g.half_block[j];
     const int pblk = g.half_block[j - 1];
     const int hs = j / 2 + 1;
@@ -150,89 +179,76 @@ void dei_block_impl(const DeiBlockArgs& g) {
       const V cui = zc ? bim : aim;
       const V cdr = zc ? are : bre;
       const V cdi = zc ? V::neg(aim) : bim;
-      V dcur[3];
-      V dcui[3];
-      V dcdr[3];
-      V dcdi[3];
-      for (int d = 0; d < 3; ++d) {
-        // dcu = zc ? -conj(db) : da ;  dcd = zc ? conj(da) : db
-        dcur[d] = zc ? V::neg(dbr[d]) : dar[d];
-        dcui[d] = zc ? dbi[d] : dai[d];
-        dcdr[d] = zc ? dar[d] : dbr[d];
-        dcdi[d] = zc ? V::neg(dai[d]) : dbi[d];
-      }
       const int pcol = zc ? 0 : mb - 1;
       const int denom = zc ? j : mb;
+      V gur = V::zero();
+      V gui = V::zero();
+      V gdr = V::zero();
+      V gdi = V::zero();
+      // Lambda of parent row ma - 1 (column pcol), which children ma - 1
+      // (through cd) and ma (through cu) both feed.
+      V pr = V::zero();
+      V pi = V::zero();
       for (int ma = 0; ma <= j; ++ma) {
-        V dvre[3] = {V::zero(), V::zero(), V::zero()};
-        V dvim[3] = {V::zero(), V::zero(), V::zero()};
+        const int f = (blk + ma * hs + mb) * kW;
+        const V fr = V::load(lr + f);
+        const V fi = V::load(li + f);
         if (ma > 0) {
           const V r = V::broadcast(g.rootpq[ma * (tj + 1) + denom]);
           const int p = (pblk + (ma - 1) * phs + pcol) * kW;
-          const V upre = V::load(g.ur + p);
-          const V upim = V::load(g.ui + p);
-          for (int d = 0; d < 3; ++d) {
-            const V dre = V::load(g.du_re[d] + p);
-            const V dim = V::load(g.du_im[d] + p);
-            // dv += r * (dcu * up + cu * dup)
-            const V tre = V::fmsub(dcur[d], upre, dcui[d] * upim) +
-                          V::fmsub(cur, dre, cui * dim);
-            const V tim = V::fma(dcur[d], upim, dcui[d] * upre) +
-                          V::fma(cur, dim, cui * dre);
-            dvre[d] = V::fma(r, tre, dvre[d]);
-            dvim[d] = V::fma(r, tim, dvim[d]);
-          }
+          const V tr = r * fr;
+          const V ti = r * fi;
+          // Lambda_p += r conj(cu) Lambda_f; grad_cu += r conj(Lambda_f) u_p
+          pr = V::fma(cur, tr, V::fma(cui, ti, pr));
+          pi = V::fma(cur, ti, V::fnma(cui, tr, pi));
+          const V upr = V::load(g.ur + p);
+          const V upi = V::load(g.ui + p);
+          gur = V::fma(tr, upr, V::fma(ti, upi, gur));
+          gui = V::fma(ti, upr, V::fnma(tr, upi, gui));
+          pr.store_to(lr + p);
+          pi.store_to(li + p);
         }
         if (ma < j) {
           const V r = V::broadcast(g.rootpq[(j - ma) * (tj + 1) + denom]);
           const int p = (pblk + ma * phs + pcol) * kW;
-          const V upre = V::load(g.ur + p);
-          const V upim = V::load(g.ui + p);
-          for (int d = 0; d < 3; ++d) {
-            const V dre = V::load(g.du_re[d] + p);
-            const V dim = V::load(g.du_im[d] + p);
-            const V tre = V::fmsub(dcdr[d], upre, dcdi[d] * upim) +
-                          V::fmsub(cdr, dre, cdi * dim);
-            const V tim = V::fma(dcdr[d], upim, dcdi[d] * upre) +
-                          V::fma(cdr, dim, cdi * dre);
-            dvre[d] = V::fma(r, tre, dvre[d]);
-            dvim[d] = V::fma(r, tim, dvim[d]);
-          }
+          const V tr = r * fr;
+          const V ti = r * fi;
+          pr = V::fma(cdr, tr, V::fma(cdi, ti, V::load(lr + p)));
+          pi = V::fma(cdr, ti, V::fnma(cdi, tr, V::load(li + p)));
+          const V upr = V::load(g.ur + p);
+          const V upi = V::load(g.ui + p);
+          gdr = V::fma(tr, upr, V::fma(ti, upi, gdr));
+          gdi = V::fma(ti, upr, V::fnma(tr, upi, gdi));
         }
-        const int e = (blk + ma * hs + mb) * kW;
-        for (int d = 0; d < 3; ++d) {
-          dvre[d].store_to(g.du_re[d] + e);
-          dvim[d].store_to(g.du_im[d] + e);
-        }
+      }
+      // (cu, cd) = (a, b), or (-conj(b), conj(a)) in column 0.
+      if (zc) {
+        gar = gar + gdr;
+        gai = gai - gdi;
+        gbr = gbr - gur;
+        gbi = gbi + gui;
+      } else {
+        gar = gar + gur;
+        gai = gai + gui;
+        gbr = gbr + gdr;
+        gbi = gbi + gdi;
       }
     }
   }
 
-  // Fused product rule + contraction. With the product rule
-  //   d(w fc u) = w (dfc u + fc du)
-  // distributed over the Y dot product,
-  //   dE_d = sum_e y[e] . (w (dfc_d u[e] + fc du_d[e]))
-  //        = w * (dfc_d * S0 + fc * Sd),
-  // S0 = sum_e y[e] . u[e],  Sd = sum_e y[e] . du_d[e]; the four running
-  // sums share one sweep over the planes, per lane, no horizontal ops.
-  V s0 = V::zero();
-  V s[3] = {V::zero(), V::zero(), V::zero()};
-  for (int e = 0; e < g.nh; ++e) {
-    const V yr = V::broadcast(g.y_re[e * kW]);
-    const V yi = V::broadcast(g.y_im[e * kW]);
-    const int o = e * kW;
-    s0 = V::fma(yr, V::load(g.ur + o), s0);
-    s0 = V::fma(yi, V::load(g.ui + o), s0);
-    for (int d = 0; d < 3; ++d) {
-      s[d] = V::fma(yr, V::load(g.du_re[d] + o), s[d]);
-      s[d] = V::fma(yi, V::load(g.du_im[d] + o), s[d]);
-    }
-  }
+  // Chain rule: Sd = dS/dx_d through (a, b), and by the product rule
+  // d(w fc u) = w (dfc u + fc du) over the Y dot product,
+  //   out_d = w * (dfc_d * S0 + fc * Sd).
+  const V s0 = s0r + s0i;
   const V w = V::load(ck + kCkW * kW);
   const V fc = V::load(ck + kCkFc * kW);
   for (int d = 0; d < 3; ++d) {
+    V sd = gar * V::load(ck + (kCkDaRe0 + d) * kW);
+    sd = V::fma(gai, V::load(ck + (kCkDaIm0 + d) * kW), sd);
+    sd = V::fma(gbr, V::load(ck + (kCkDbRe0 + d) * kW), sd);
+    sd = V::fma(gbi, V::load(ck + (kCkDbIm0 + d) * kW), sd);
     const V dfc = V::load(ck + (kCkDfc0 + d) * kW);
-    (w * V::fma(dfc, s0, fc * s[d])).store_to(g.out + d * kW);
+    (w * V::fma(dfc, s0, fc * sd)).store_to(g.out + d * kW);
   }
 }
 

@@ -23,6 +23,7 @@ struct Vec1 {
   // libm call per element.
   static Vec1 fma(Vec1 a, Vec1 b, Vec1 c) { return {a.v * b.v + c.v}; }
   static Vec1 fmsub(Vec1 a, Vec1 b, Vec1 c) { return {a.v * b.v - c.v}; }
+  static Vec1 fnma(Vec1 a, Vec1 b, Vec1 c) { return {c.v - a.v * b.v}; }
   friend Vec1 operator*(Vec1 a, Vec1 b) { return {a.v * b.v}; }
   friend Vec1 operator+(Vec1 a, Vec1 b) { return {a.v + b.v}; }
   friend Vec1 operator-(Vec1 a, Vec1 b) { return {a.v - b.v}; }

@@ -267,6 +267,11 @@ TEST(Bispectrum, FlopCountsAreCachedFromTheYWorkList) {
     }
     EXPECT_EQ(bi.flops_bi(), bi_flops);
     EXPECT_EQ(bi.flops_dbidrj(), db_flops);
+    // dE per neighbor: the replayed U recursion (22) and the reverse
+    // sweep (36) per half element; the S0 seed (4) per half element and
+    // the chain rule (33) once.
+    EXPECT_EQ(bi.flops_duidrj(), 58.0 * idx.u_half_total());
+    EXPECT_EQ(bi.flops_deidrj(), 4.0 * idx.u_half_total() + 33.0);
     // The adjoint atom total adds per-neighbor work to the cached Y count.
     EXPECT_EQ(bi.flops_adjoint_atom(0), bi.flops_yi());
     EXPECT_EQ(bi.flops_adjoint_atom(3) - bi.flops_adjoint_atom(2),

@@ -8,6 +8,9 @@
 // repeatable. Utot is also checked against the closed-form Wigner
 // matrices. The SIMD width 4 must also match the width-1 instantiation,
 // and the dispatcher tests pin the EMBER_SIMD override rules.
+// SymmetricKernelEdgeCases holds the reverse-mode dE to the same bound on
+// shells the random draws miss: neighbors at the cutoff rim, on one
+// ray or duplicated, and with the switching function off.
 //
 // The atom-block Y sweep (compute_ui(.., lane) -> compute_yi_block) must
 // reproduce Y summed from the Baseline Z, and an atom's Y, energy and
@@ -129,6 +132,30 @@ std::vector<Cplx> closed_form_utot(const Bispectrum& bi,
   return utot;
 }
 
+// Adjoint dE of every neighbor (compute_ui -> compute_yi ->
+// compute_deidrj_all) against the Baseline full-range recursion and dB
+// contraction, <= 1e-12 per component.
+void expect_de_matches_baseline(Bispectrum& bi, const std::vector<Vec3>& rij,
+                                const std::vector<double>& wj,
+                                const std::vector<double>& beta,
+                                const std::string& where) {
+  bi.compute_ui(rij, wj);
+  bi.compute_yi(beta);
+  std::vector<Vec3> de(rij.size());
+  bi.compute_deidrj_all(de);
+  bi.compute_zi();
+  for (std::size_t m = 0; m < rij.size(); ++m) {
+    bi.compute_duidrj(rij[m], wj[m]);
+    bi.compute_dbidrj();
+    Vec3 de_base;
+    for (int l = 0; l < bi.num_b(); ++l) de_base += beta[l] * bi.dblist()[l];
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_NEAR(de[m][d], de_base[d], 1e-12)
+          << where << " neighbor " << m << " dim " << d;
+    }
+  }
+}
+
 class SymmetricKernelParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(SymmetricKernelParity, StagesMatchNaiveOracle) {
@@ -163,32 +190,56 @@ TEST_P(SymmetricKernelParity, StagesMatchNaiveOracle) {
 
       bi.compute_yi(beta);
       const double e_adj = bi.energy_from_yi(0.4, beta);
-      std::vector<Vec3> de(rij.size());
-      bi.compute_deidrj_all(de);
-
       bi.compute_zi();
       bi.compute_bi();
       const double e_base = bi.energy(0.4, beta);
       EXPECT_NEAR(e_adj, e_base, 1e-12 * std::max(1.0, std::abs(e_base)))
           << where;
-      for (std::size_t m = 0; m < rij.size(); ++m) {
-        bi.compute_duidrj(rij[m], wj[m]);
-        bi.compute_dbidrj();
-        Vec3 de_base;
-        for (int l = 0; l < bi.num_b(); ++l) {
-          de_base += beta[l] * bi.dblist()[l];
-        }
-        for (int d = 0; d < 3; ++d) {
-          EXPECT_NEAR(de[m][d], de_base[d], 1e-12)
-              << where << " neighbor " << m << " dim " << d;
-        }
-      }
+      expect_de_matches_baseline(bi, rij, wj, beta, where);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SymmetricKernelParity,
                          ::testing::Values(2, 4, 6, 8, 14));
+
+class SymmetricKernelEdgeCases : public ::testing::TestWithParam<int> {};
+
+TEST_P(SymmetricKernelEdgeCases, DeMatchesBaseline) {
+  // Shells the random 0.8-3.2 A draws above never reach: neighbors just
+  // inside the cutoff (fc and dfc near zero), neighbors sharing a ray
+  // with an adjacent exact duplicate (identical lane constants in one
+  // block), and the unswitched kernel (dfc = 0: only the a/b gradient
+  // carries the force).
+  const int twojmax = GetParam();
+  for (const simd::SimdIsa isa : host_isas()) {
+    ScopedSimdEnv env(simd::to_string(isa));
+    for (const bool switched : {true, false}) {
+      SnapParams p = base_params(twojmax);
+      p.switch_flag = switched;
+      Bispectrum bi(p);
+      ASSERT_EQ(bi.simd_isa(), isa);
+      const std::string where = std::string(simd::to_string(isa)) +
+                                (switched ? " switched" : " unswitched");
+      Rng rng(409 + static_cast<std::uint64_t>(twojmax));
+      std::vector<double> beta(bi.num_b());
+      for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
+
+      const auto rim = random_shell(rng, 7, p.rcut - 0.1, p.rcut - 1e-6);
+      expect_de_matches_baseline(bi, rim, std::vector<double>(7, 1.0), beta,
+                                 where + " rim");
+
+      const Vec3 ray = (1.0 / std::sqrt(14.0)) * Vec3{1.0, -2.0, 3.0};
+      const std::vector<Vec3> same_ray{0.9 * ray, 1.7 * ray, 1.7 * ray,
+                                       2.5 * ray, 3.3 * ray};
+      expect_de_matches_baseline(bi, same_ray, {1.0, 0.8, 0.8, 1.2, 1.0},
+                                 beta, where + " same ray");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SymmetricKernelEdgeCases,
+                         ::testing::Values(2, 8, 14));
 
 // Every SIMD ISA the host runs, i.e. lane width > 1.
 std::vector<simd::SimdIsa> host_simd_isas() {
