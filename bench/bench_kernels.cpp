@@ -56,15 +56,27 @@ void BM_ComputeZi(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeZi)->Arg(4)->Arg(8)->Arg(14);
 
+// The production Y sweep: one compute_yi_block over a full block of
+// lane-width atoms (the same neighbor shell in every lane; the sweep's
+// work does not depend on the values). Time is reported per atom.
 void BM_ComputeYi(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
   Bispectrum bi(w.params);
-  bi.compute_ui(w.rij, {});
+  std::vector<double> coeffs;
+  for (const auto& t : bi.index().z_triples()) {
+    coeffs.push_back(w.beta[t.idxb] * t.beta_scale);
+  }
+  for (int lane = 0; lane < bi.lane_width(); ++lane) {
+    bi.compute_ui(w.rij, {}, lane);
+  }
   for (auto _ : state) {
-    bi.compute_yi(w.beta);
+    bi.compute_yi_block(coeffs);
     benchmark::DoNotOptimize(&bi);
     benchmark::ClobberMemory();
   }
+  state.counters["s_per_atom"] = benchmark::Counter(
+      bi.lane_width(), benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ComputeYi)->Arg(4)->Arg(8)->Arg(14);
 

@@ -41,11 +41,9 @@ double z_sweep_flops(const SnapIndex& idx) {
 }
 
 double y_work_list_flops(const SnapIndex& idx) {
-  // term: cplx mul + scale + add = 10; row finish 4; output accumulation
-  // 4; half-weight fold 2 per half element.
-  double terms = 0.0;
-  for (const YRow& r : idx.y_rows()) terms += r.n;
-  return 10.0 * terms + 4.0 * static_cast<double>(idx.y_rows().size()) +
+  // term: cplx mul + scale + add = 10; output accumulation 4; half-weight
+  // fold 2 per half element.
+  return 10.0 * static_cast<double>(idx.y_term_c().size()) +
          4.0 * static_cast<double>(idx.y_outputs().size()) +
          2.0 * static_cast<double>(idx.u_half_total());
 }

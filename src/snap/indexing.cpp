@@ -107,52 +107,58 @@ SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
     }
   }
 
-  // Aligned CG blocks: per triple, (j+1) rows of (j1+1) unit-stride
-  // entries holding cg(t, m1, m + s - m1) for the valid m1 range of each
-  // output index m (see aligned_cg).
-  for (auto& t : z_) {
-    t.idxcga = static_cast<int>(cg_aligned_.size());
-    const int s = (t.j1 + t.j2 - t.j) / 2;
-    for (int m = 0; m <= t.j; ++m) {
-      const int lo = std::max(0, m + s - t.j2);
-      const int hi = std::min(t.j1, m + s);
-      for (int m1 = 0; m1 <= t.j1; ++m1) {
-        cg_aligned_.push_back(m1 >= lo && m1 <= hi ? cg(t, m1, m + s - m1)
-                                                   : 0.0);
-      }
-    }
-  }
-
   // Y work list over the half column range 2*mb <= j, in element order
-  // (j, ma, mb) with triples ascending per element. An output's rows run
-  // over the coupling range of ma1, each over the range [clo, chi] of
-  // mb1; rows whose CG factor vanishes contribute nothing and are dropped.
+  // (j, ma, mb) with triples ascending per element. An output's terms run
+  // over the coupling range of ma1 and, per row, of mb1; terms on
+  // zero-weight elements, j1 = j2 mirror terms (merged, see YOutput) and
+  // zero coefficients are dropped.
   for (int j = 0; j <= twojmax; ++j) {
     for (int ma = 0; ma <= j; ++ma) {
       for (int mb = 0; 2 * mb <= j; ++mb) {
+        const bool live = half_weight(j, ma, mb) != 0.0;
         for (int ti = 0; ti < static_cast<int>(z_.size()); ++ti) {
           const ZTriple& t = z_[ti];
           if (t.j != j) continue;
           const int s = (t.j1 + t.j2 - t.j) / 2;
+          const bool mirror = t.j1 == t.j2;
           YOutput o{u_half_index(j, ma, mb), ti,
-                    static_cast<int>(y_rows_.size()), 0};
-          const int clo = std::max(0, mb + s - t.j2);
-          const int chi = std::min(t.j1, mb + s);
+                    static_cast<int>(y_term_c_.size()), 0};
           for (int ma1 = std::max(0, ma + s - t.j2);
-               ma1 <= std::min(t.j1, ma + s); ++ma1) {
-            const double c = cg(t, ma1, ma + s - ma1);
-            if (c == 0.0) continue;
-            y_rows_.push_back({u_index(t.j1, ma1, clo),
-                               u_index(t.j2, ma + s - ma1, mb + s - clo),
-                               chi - clo + 1,
-                               t.idxcga + mb * (t.j1 + 1) + clo, c});
+               live && ma1 <= std::min(t.j1, ma + s); ++ma1) {
+            const int ma2 = ma + s - ma1;
+            for (int mb1 = std::max(0, mb + s - t.j2);
+                 mb1 <= std::min(t.j1, mb + s); ++mb1) {
+              const int mb2 = mb + s - mb1;
+              // For j1 = j2, u1 > u2 is (ma1, mb1) after (ma2, mb2).
+              const int u1 = u_index(t.j1, ma1, mb1);
+              const int u2 = u_index(t.j2, ma2, mb2);
+              if (mirror && u1 > u2) continue;
+              const double mult = mirror && u1 != u2 ? 2.0 : 1.0;
+              const double c = mult * cg(t, ma1, ma2) * cg(t, mb1, mb2);
+              if (c == 0.0) continue;
+              y_term_u_.push_back(static_cast<std::uint32_t>(u1) |
+                                  static_cast<std::uint32_t>(u2) << 16);
+              y_term_c_.push_back(c);
+            }
           }
-          o.row_end = static_cast<int>(y_rows_.size());
+          o.term_end = static_cast<int>(y_term_c_.size());
           y_out_.push_back(o);
         }
       }
     }
   }
+}
+
+int SnapIndex::count_b(int twojmax) {
+  int n = 0;
+  for (int j1 = 0; j1 <= twojmax; ++j1) {
+    for (int j2 = 0; j2 <= j1; ++j2) {
+      for (int j = j1 - j2; j <= std::min(twojmax, j1 + j2); j += 2) {
+        n += j >= j1 ? 1 : 0;
+      }
+    }
+  }
+  return n;
 }
 
 const SnapIndex& SnapIndex::shared(int twojmax) {

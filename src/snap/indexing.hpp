@@ -16,6 +16,7 @@
 // entry records which canonical B component it contributes to and with what
 // multiplicity/normalization.
 
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -30,7 +31,6 @@ struct ZTriple {
   double beta_scale = 1.0;  // multiplicity x normalization for compute_yi
   int idxcg = 0;       // offset of this triple's Clebsch-Gordan block
   int idxz_u = 0;      // offset of this triple's slot in the z value array
-  int idxcga = 0;      // offset of this triple's aligned CG block
 };
 
 // Contraction weight of element (j; ma, mb) under the half-column symmetry
@@ -47,33 +47,28 @@ constexpr double half_weight(int j, int ma, int mb) {
   return 0.0;
 }
 
-// Adjoint Y work list (SnapIndex::y_outputs / y_rows). Every atom runs
-// the same sweep, so it is flattened once, with the coupling bounds baked
-// in and the zero-CG rows dropped.
+// Adjoint Y work list (SnapIndex::y_outputs / y_term_u / y_term_c).
+// Every atom runs the same sweep, so it is flattened once, with the
+// coupling bounds baked in and every vanishing term dropped.
 //
 // One YOutput per (coupling triple, half-range element (ma, mb) of its
 // product block, 2*mb <= j):
-//     Y[e] += coeff[triple] * sum_{r in [row_begin, row_end)} row_r
+//     Y[e] += coeff[triple] * sum_{k in [term_begin, term_end)}
+//                 c[k] * U[u1_k] * U[u2_k]
+// over the full-range Utot. A term folds both CG factors into
+//     c = mult * cg(t, ma1, ma2) * cg(t, mb1, mb2),
+// (ma1 + ma2 = ma + s, mb1 + mb2 = mb + s). For j1 = j2 the terms of rows
+// ma1 > ma2, and of columns mb1 > mb2 within a row ma1 = ma2, repeat the
+// product of their mirror term (u1 and u2 swapped) with the same
+// coefficient (the two CG swap signs cancel); they are merged into it
+// with mult = 2. Elements whose half_weight is 0 get no terms, and
+// terms whose coefficient is an exact zero are dropped.
 struct YOutput {
   int e = 0;       // half-range element u_half_index(j, ma, mb)
   int triple = 0;  // index into z_triples()
-  int row_begin = 0;
-  int row_end = 0;
+  int term_begin = 0;
+  int term_end = 0;
 };
-
-// One YRow per non-zero Clebsch-Gordan row factor of an output:
-//     row = cg_row * sum_{k < n} cg[cg_col + k] * U[u1 + k] * U[u2 - k]
-// over the full-range Utot. u1 walks row ma1 of block j1 forward from
-// column mb1_lo, u2 walks row ma2 of block j2 backward (mb2 = mb + s - mb1),
-// and cg[cg_col..] are the column factors in the aligned CG table.
-struct YRow {
-  int u1 = 0;
-  int u2 = 0;
-  int n = 0;
-  int cg_col = 0;
-  double cg_row = 0.0;
-};
-
 struct BTriple {
   int j1 = 0;
   int j2 = 0;
@@ -82,6 +77,10 @@ struct BTriple {
 
 // Largest supported 2J.
 inline constexpr int kMaxTwojmax = 24;
+// A packed Y term holds two full-range U indices (u_total = sum of
+// (j+1)^2) in 16 bits each.
+static_assert((kMaxTwojmax + 1) * (kMaxTwojmax + 2) * (2 * kMaxTwojmax + 3) /
+                  6 <= (1 << 16));
 
 class SnapIndex {
  public:
@@ -124,6 +123,9 @@ class SnapIndex {
   [[nodiscard]] const std::vector<ZTriple>& z_triples() const { return z_; }
   [[nodiscard]] const std::vector<BTriple>& b_triples() const { return b_; }
   [[nodiscard]] int num_b() const { return static_cast<int>(b_.size()); }
+  // num_b() of SnapIndex(twojmax), counted without building the index
+  // (the model loader checks a file's coefficient count with it).
+  [[nodiscard]] static int count_b(int twojmax);
   // index of canonical triple (j1, j2, j) with j >= j1 >= j2
   [[nodiscard]] int b_index(int j1, int j2, int j) const;
   // total size of the per-triple z matrices ((j+1)^2 each), baseline path
@@ -140,25 +142,20 @@ class SnapIndex {
     return cg_[t.idxcg + ma1 * (t.j2 + 1) + ma2];
   }
 
-  // Aligned CG blocks: the z-element sums walk cg(t, m1, m + s - m1) with
-  // m fixed, which strides the raw (m1, m2) block by j2 per step. The
-  // aligned block re-lays each triple as (j+1) contiguous rows of (j1+1)
-  // entries, row m at t.idxcga + m * (j1+1):
-  //     row m [m1] = C^{j m}_{j1 m1 j2 (m+s-m1)},
-  // zero outside the coupling range, so the column factors of a Y row
-  // (YRow::cg_col) are unit-stride.
-  [[nodiscard]] const std::vector<double>& aligned_cg() const {
-    return cg_aligned_;
-  }
-
   // ---- adjoint Y work list ----
   // Outputs grouped by element e (ascending), triples ascending within a
   // group, so a sweep finishes each Y element in registers; each output's
-  // rows are contiguous in y_rows(). At 2J=8: 2386 outputs, 8791 rows.
+  // terms are contiguous. Term k packs u1 | u2 << 16 in y_term_u()[k] and
+  // its coefficient in y_term_c()[k]. At 2J=8: 2386 outputs, 30 298 terms.
   [[nodiscard]] const std::vector<YOutput>& y_outputs() const {
     return y_out_;
   }
-  [[nodiscard]] const std::vector<YRow>& y_rows() const { return y_rows_; }
+  [[nodiscard]] const std::vector<std::uint32_t>& y_term_u() const {
+    return y_term_u_;
+  }
+  [[nodiscard]] const std::vector<double>& y_term_c() const {
+    return y_term_c_;
+  }
 
  private:
   int twojmax_;
@@ -167,7 +164,6 @@ class SnapIndex {
   std::vector<int> u_half_block_;
   int u_half_total_ = 0;
   std::vector<double> half_weight_;
-  std::vector<double> cg_aligned_;
   std::vector<ZTriple> z_;
   std::vector<BTriple> b_;
   std::vector<int> b_block_;  // dense [j1][j2][j] lookup
@@ -175,7 +171,8 @@ class SnapIndex {
   int z_total_ = 0;
   std::vector<double> cg_;
   std::vector<YOutput> y_out_;
-  std::vector<YRow> y_rows_;
+  std::vector<std::uint32_t> y_term_u_;
+  std::vector<double> y_term_c_;
 };
 
 }  // namespace ember::snap

@@ -6,8 +6,8 @@
 //
 //   ui_block, dei_block  one neighbor of one atom per lane (neighbor lanes)
 //   yi_block             one atom per lane (atom lanes): Y does the same
-//                        work for every atom, so the CG factors and the
-//                        work list are broadcast and only Utot differs
+//                        work for every atom, so the work list and its
+//                        coefficients are broadcast and only Utot differs
 //
 // Every per-lane plane is *lane-interleaved*: the value of element e for
 // lane l lives at plane[e * width + l], so one aligned vector load at
@@ -67,12 +67,12 @@ struct UiBlockArgs {
 };
 
 // Adjoint Y sweep for one block of atoms, one atom per lane. The flat
-// work list of SnapIndex (y_outputs / y_rows) accumulates
-//   Y[e] = half_weight[e] * sum_outputs coeff[triple] * sum_rows row
-// from the full-range Utot into the half-range Y planes (see YRow for
-// one row's sum).
+// work list of SnapIndex (y_outputs, y_term_u / y_term_c) accumulates
+//   Y[e] = half_weight[e] * sum_outputs coeff[triple] * sum_terms term
+// from the full-range Utot into the half-range Y planes (see YOutput for
+// one term). Every half element is written; zero-weight ones get 0.
 struct YiBlockArgs {
-  const SnapIndex* index = nullptr; // work list, CG table, half layout
+  const SnapIndex* index = nullptr; // work list, half weights
   int stride = 0;                   // element e of lane l at e * stride + l
                                     //   (>= width; == width for vectors)
   const double* uf_re = nullptr;    // full-range Utot in

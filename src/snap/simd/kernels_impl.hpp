@@ -257,42 +257,45 @@ void yi_block_impl(const YiBlockArgs& g) {
   const SnapIndex& idx = *g.index;
   const int st = g.stride;
 
-  // Work-list sweep, one Y element at a time. Bounds and zero-CG rows
-  // were resolved when the list was built, so the loops carry no
-  // branches; every load is one aligned vector of `width` atoms and
-  // every CG factor a broadcast.
+  // Work-list sweep, one Y element at a time. Bounds, CG factors and
+  // vanishing terms were resolved when the list was built, so the loops
+  // carry no branches; every U load is one aligned vector of `width`
+  // atoms and every coefficient a broadcast. Alternate terms go to two
+  // accumulator pairs to hide the FMA latency.
   const std::vector<YOutput>& outs = idx.y_outputs();
-  const YRow* rows = idx.y_rows().data();
+  const std::uint32_t* tu = idx.y_term_u().data();
+  const double* tc = idx.y_term_c().data();
+  const auto term = [&](int k, V& sr, V& si) {
+    // s += c[k] * (U[u1] * U[u2])
+    const int u1 = static_cast<int>(tu[k] & 0xffffu) * st;
+    const int u2 = static_cast<int>(tu[k] >> 16) * st;
+    const V ck = V::broadcast(tc[k]);
+    const V a_re = V::load(g.uf_re + u1);
+    const V a_im = V::load(g.uf_im + u1);
+    const V b_re = V::load(g.uf_re + u2);
+    const V b_im = V::load(g.uf_im + u2);
+    sr = V::fma(ck, V::fmsub(a_re, b_re, a_im * b_im), sr);
+    si = V::fma(ck, V::fma(a_re, b_im, a_im * b_re), si);
+  };
   for (std::size_t o = 0; o < outs.size();) {
     const int e = outs[o].e;
     V yr = V::zero();
     V yi = V::zero();
     for (; o < outs.size() && outs[o].e == e; ++o) {
       const YOutput& out = outs[o];
-      V zr = V::zero();
-      V zi = V::zero();
-      for (int r = out.row_begin; r < out.row_end; ++r) {
-        const YRow& row = rows[r];
-        const double* c = idx.aligned_cg().data() + row.cg_col;
-        V sr = V::zero();
-        V si = V::zero();
-        for (int k = 0; k < row.n; ++k) {
-          // s += c[k] * (U[u1 + k] * U[u2 - k])
-          const V ck = V::broadcast(c[k]);
-          const V a_re = V::load(g.uf_re + (row.u1 + k) * st);
-          const V a_im = V::load(g.uf_im + (row.u1 + k) * st);
-          const V b_re = V::load(g.uf_re + (row.u2 - k) * st);
-          const V b_im = V::load(g.uf_im + (row.u2 - k) * st);
-          sr = V::fma(ck, V::fmsub(a_re, b_re, a_im * b_im), sr);
-          si = V::fma(ck, V::fma(a_re, b_im, a_im * b_re), si);
-        }
-        const V cr = V::broadcast(row.cg_row);
-        zr = V::fma(cr, sr, zr);
-        zi = V::fma(cr, si, zi);
+      V sr0 = V::zero();
+      V si0 = V::zero();
+      V sr1 = V::zero();
+      V si1 = V::zero();
+      int k = out.term_begin;
+      for (; k + 1 < out.term_end; k += 2) {
+        term(k, sr0, si0);
+        term(k + 1, sr1, si1);
       }
+      if (k < out.term_end) term(k, sr0, si0);
       const V coeff = V::broadcast(g.coeff[out.triple]);
-      yr = V::fma(coeff, zr, yr);
-      yi = V::fma(coeff, zi, yi);
+      yr = V::fma(coeff, sr0 + sr1, yr);
+      yi = V::fma(coeff, si0 + si1, yi);
     }
     // Fold the contraction weight in, so the energy and force
     // contractions are plain dot products over the half range.

@@ -128,8 +128,7 @@ void check_ncoeff(std::size_t n, int twojmax, const std::string& path) {
     model_error(path, "twojmax",
                 "must be in [0, " + std::to_string(kMaxTwojmax) + "]");
   }
-  const auto want =
-      static_cast<std::size_t>(SnapIndex::shared(twojmax).num_b());
+  const auto want = static_cast<std::size_t>(SnapIndex::count_b(twojmax));
   if (n != want) {
     model_error(path, "ncoeff",
                 std::to_string(n) + " coefficients, but twojmax " +
@@ -331,7 +330,7 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
         const int nn = static_cast<int>(rij.size());
         sc.de.resize(nn);
         if (path_ == Path::Adjoint) {
-          // Blocked dU + dE pass over lane-width blocks of neighbors.
+          // U replay + adjoint dE sweep over lane-width neighbor blocks.
           bi.compute_deidrj_all(sc.de, a);
           s.flops += bi.flops_adjoint_atom(nn);
         } else {

@@ -249,12 +249,10 @@ TEST(Bispectrum, FlopCountsAreCachedFromTheYWorkList) {
     p.twojmax = tj;
     const Bispectrum bi(p);
     const SnapIndex& idx = bi.index();
-    // yi executes 10 flops per work-list term, 4 per row, 4 per output
-    // and 2 per half element for the weight fold.
-    double terms = 0.0;
-    for (const YRow& r : idx.y_rows()) terms += r.n;
+    // yi executes 10 flops per work-list term, 4 per output and 2 per
+    // half element for the weight fold.
     EXPECT_EQ(bi.flops_yi(),
-              10.0 * terms + 4.0 * static_cast<double>(idx.y_rows().size()) +
+              10.0 * static_cast<double>(idx.y_term_c().size()) +
                   4.0 * static_cast<double>(idx.y_outputs().size()) +
                   2.0 * idx.u_half_total());
     double bi_flops = 0.0;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "snap/factorial.hpp"
@@ -126,71 +127,102 @@ TEST(SnapIndex, YWorkListHasOneOutputPerHalfElementOfEveryTriple) {
       want += static_cast<std::size_t>(t.j + 1) * (t.j / 2 + 1);
     }
     ASSERT_EQ(out.size(), want) << "2J=" << tj;
-    int next_row = 0;
+    int next_term = 0;
     for (const YOutput& o : out) {
       const ZTriple& t = idx.z_triples()[o.triple];
       EXPECT_GE(o.e, idx.u_half_block(t.j));
       EXPECT_LT(o.e, idx.u_half_block(t.j) + (t.j + 1) * (t.j / 2 + 1));
       EXPECT_TRUE(seen.insert({o.triple, o.e}).second)
           << "2J=" << tj << " duplicate output " << o.triple << "/" << o.e;
-      // Rows are contiguous and in output order.
-      EXPECT_EQ(o.row_begin, next_row);
-      EXPECT_LE(o.row_begin, o.row_end);
-      next_row = o.row_end;
+      // Terms are contiguous and in output order; a zero-weight element's
+      // outputs carry none (the sweep still writes its Y = 0).
+      EXPECT_EQ(o.term_begin, next_term);
+      EXPECT_LE(o.term_begin, o.term_end);
+      if (idx.half_weights()[o.e] == 0.0) {
+        EXPECT_EQ(o.term_begin, o.term_end) << "2J=" << tj << " e " << o.e;
+      }
+      next_term = o.term_end;
     }
-    EXPECT_EQ(next_row, static_cast<int>(idx.y_rows().size()));
+    EXPECT_EQ(next_term, static_cast<int>(idx.y_term_c().size()));
+    EXPECT_EQ(idx.y_term_u().size(), idx.y_term_c().size());
   }
 }
 
-TEST(SnapIndex, YWorkListRowsAreTheNonZeroCouplingRows) {
+TEST(SnapIndex, YWorkListTermsAreTheMergedNonZeroCouplingTerms) {
+  using Term = std::tuple<int, int, int, int>;  // triple, e, u1, u2
   for (const int tj : {2, 8, 14}) {
     const SnapIndex idx(tj);
-    // Trip count of the unflattened half-column sweep over non-zero rows.
-    long terms_want = 0;
-    for (const auto& t : idx.z_triples()) {
+    // The unflattened half-column sweep over live elements, one entry per
+    // non-zero product cg(ma1, ma2) * cg(mb1, mb2) * U[u1] * U[u2].
+    std::set<Term> want;
+    for (int ti = 0; ti < static_cast<int>(idx.z_triples().size()); ++ti) {
+      const ZTriple& t = idx.z_triples()[ti];
       const int s = (t.j1 + t.j2 - t.j) / 2;
       for (int ma = 0; ma <= t.j; ++ma) {
         for (int mb = 0; 2 * mb <= t.j; ++mb) {
-          const int cols = std::min(t.j1, mb + s) -
-                           std::max(0, mb + s - t.j2) + 1;
+          if (half_weight(t.j, ma, mb) == 0.0) continue;
           for (int ma1 = std::max(0, ma + s - t.j2);
                ma1 <= std::min(t.j1, ma + s); ++ma1) {
-            if (idx.cg(t, ma1, ma + s - ma1) != 0.0) terms_want += cols;
+            for (int mb1 = std::max(0, mb + s - t.j2);
+                 mb1 <= std::min(t.j1, mb + s); ++mb1) {
+              const int ma2 = ma + s - ma1;
+              const int mb2 = mb + s - mb1;
+              if (idx.cg(t, ma1, ma2) * idx.cg(t, mb1, mb2) == 0.0) continue;
+              want.insert({ti, idx.u_half_index(t.j, ma, mb),
+                           idx.u_index(t.j1, ma1, mb1),
+                           idx.u_index(t.j2, ma2, mb2)});
+            }
           }
         }
       }
     }
-    long terms = 0;
+    // Decode every term, check its coupling and coefficient, and expand
+    // each merged mirror term back into its pair.
+    std::set<Term> got;
     for (const YOutput& o : idx.y_outputs()) {
       const ZTriple& t = idx.z_triples()[o.triple];
       const int s = (t.j1 + t.j2 - t.j) / 2;
       const int hs = t.j / 2 + 1;
       const int ma = (o.e - idx.u_half_block(t.j)) / hs;
       const int mb = (o.e - idx.u_half_block(t.j)) % hs;
-      for (int r = o.row_begin; r < o.row_end; ++r) {
-        const YRow& row = idx.y_rows()[r];
-        ASSERT_GT(row.n, 0);
-        terms += row.n;
-        const int ma1 = (row.u1 - idx.u_block(t.j1)) / (t.j1 + 1);
-        const int mb1 = (row.u1 - idx.u_block(t.j1)) % (t.j1 + 1);
-        const int ma2 = (row.u2 - idx.u_block(t.j2)) / (t.j2 + 1);
-        const int mb2 = (row.u2 - idx.u_block(t.j2)) % (t.j2 + 1);
-        EXPECT_NE(row.cg_row, 0.0);
+      for (int k = o.term_begin; k < o.term_end; ++k) {
+        const int u1 = static_cast<int>(idx.y_term_u()[k] & 0xffffu);
+        const int u2 = static_cast<int>(idx.y_term_u()[k] >> 16);
+        ASSERT_GE(u1, idx.u_block(t.j1));
+        ASSERT_LT(u1, idx.u_block(t.j1) + (t.j1 + 1) * (t.j1 + 1));
+        ASSERT_GE(u2, idx.u_block(t.j2));
+        ASSERT_LT(u2, idx.u_block(t.j2) + (t.j2 + 1) * (t.j2 + 1));
+        const int ma1 = (u1 - idx.u_block(t.j1)) / (t.j1 + 1);
+        const int mb1 = (u1 - idx.u_block(t.j1)) % (t.j1 + 1);
+        const int ma2 = (u2 - idx.u_block(t.j2)) / (t.j2 + 1);
+        const int mb2 = (u2 - idx.u_block(t.j2)) % (t.j2 + 1);
         EXPECT_EQ(ma1 + ma2, ma + s);
         EXPECT_EQ(mb1 + mb2, mb + s);
-        EXPECT_EQ(row.cg_row, idx.cg(t, ma1, ma2));
-        for (int k = 0; k < row.n; ++k) {
-          EXPECT_EQ(idx.aligned_cg()[row.cg_col + k],
-                    idx.cg(t, mb1 + k, mb2 - k));
+        const bool merged = t.j1 == t.j2 && u1 != u2;
+        EXPECT_EQ(idx.y_term_c()[k], (merged ? 2.0 : 1.0) *
+                                         idx.cg(t, ma1, ma2) *
+                                         idx.cg(t, mb1, mb2));
+        EXPECT_TRUE(got.insert({o.triple, o.e, u1, u2}).second);
+        if (merged) {
+          EXPECT_TRUE(got.insert({o.triple, o.e, u2, u1}).second)
+              << "2J=" << tj << " mirror listed twice";
         }
       }
     }
-    EXPECT_EQ(terms, terms_want) << "2J=" << tj;
+    EXPECT_EQ(got, want) << "2J=" << tj;
     if (tj == 8) {
       EXPECT_EQ(idx.y_outputs().size(), 2386u);
-      EXPECT_EQ(idx.y_rows().size(), 8791u);
-      EXPECT_EQ(terms, 40732);
+      // 36 326 non-zero terms on live elements (the row-level list ran
+      // 40 732, zero-weight elements and zero column factors included).
+      EXPECT_EQ(want.size(), 36326u);
+      EXPECT_EQ(idx.y_term_c().size(), 30298u);
     }
+  }
+}
+
+TEST(SnapIndex, CountBMatchesTheBuiltIndex) {
+  for (int tj = 0; tj <= 14; ++tj) {
+    EXPECT_EQ(SnapIndex::count_b(tj), SnapIndex(tj).num_b()) << "2J=" << tj;
   }
 }
 

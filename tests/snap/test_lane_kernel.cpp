@@ -26,10 +26,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "md/compute_context.hpp"
 #include "md/lattice.hpp"
@@ -483,6 +485,43 @@ TEST(SimdAtomBlock, LaneResultsAreBitwiseIndependentOfLaneAndBlockMates) {
                          std::string(simd::to_string(isa)) + " block of " +
                              std::to_string(natoms) + ", atom " +
                              std::to_string(b0 + l));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdAtomBlock, YiBlockWritesEveryHalfElement) {
+  // Zero-weight elements have no work-list terms, but dei seeds its
+  // adjoint with Y over every half element, so the sweep must still
+  // store them: over NaN-filled Y planes, each reads exactly 0 after one
+  // block and every other element is finite.
+  const SnapIndex& idx = SnapIndex::shared(8);
+  for (const simd::SimdIsa isa : host_isas()) {
+    const simd::SimdOps& ops = simd::ops_for(isa);
+    const std::size_t w = static_cast<std::size_t>(ops.width);
+    Rng rng(907);
+    aligned_vector<double> uf_re(idx.u_total() * w);
+    aligned_vector<double> uf_im(idx.u_total() * w);
+    for (auto& x : uf_re) x = rng.uniform(-1.0, 1.0);
+    for (auto& x : uf_im) x = rng.uniform(-1.0, 1.0);
+    std::vector<double> coeffs(idx.z_triples().size());
+    for (auto& c : coeffs) c = rng.uniform(-1.0, 1.0);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    aligned_vector<double> y_re(idx.u_half_total() * w, nan);
+    aligned_vector<double> y_im(idx.u_half_total() * w, nan);
+    ops.yi_block({&idx, ops.width, uf_re.data(), uf_im.data(), coeffs.data(),
+                  y_re.data(), y_im.data()});
+    for (int e = 0; e < idx.u_half_total(); ++e) {
+      for (std::size_t l = 0; l < w; ++l) {
+        const double re = y_re[e * w + l];
+        const double im = y_im[e * w + l];
+        if (idx.half_weights()[e] == 0.0) {
+          EXPECT_EQ(re, 0.0) << simd::to_string(isa) << " e " << e;
+          EXPECT_EQ(im, 0.0) << simd::to_string(isa) << " e " << e;
+        } else {
+          EXPECT_TRUE(std::isfinite(re) && std::isfinite(im))
+              << simd::to_string(isa) << " e " << e << " lane " << l;
         }
       }
     }

@@ -208,6 +208,8 @@ TEST(SnapModel, LoadRejectsMalformedFilesNamingPathAndKey) {
       {"missing ncoeff", head, "ncoeff"},
       {"twojmax not a number", "twojmax x\n" + linear, "twojmax"},
       {"twojmax out of range", "twojmax 99\n", "twojmax"},
+      {"ncoeff vs twojmax 24", "twojmax 24\nncoeff 3\n" + values(3),
+       "ncoeff"},
       {"rcut partial parse", linear + "rcut 4.x\n", "rcut"},
       {"switch not a flag", linear + "switch 2\n", "switch"},
       {"unknown key", linear + "rcutt 4.0\n", "rcutt"},
