@@ -232,14 +232,13 @@ std::vector<StageReadout> measure_stages() {
   };
 }
 
-// DP peak per core from the probed machine: nominal clock x SIMD lanes of
-// the widest supported ISA x 2 (FMA counts as two flops) x 2 (two FMA
-// ports per core on the AVX2/AVX-512 parts this targets). 0 when the
-// clock could not be probed.
-double dp_peak_gflops_core(const ember::obs::MachineInfo& m) {
-  return m.clock_ghz *
-         ember::snap::simd::lane_width(ember::snap::simd::max_supported_isa()) *
-         2.0 * 2.0;
+// DP peak per core of the kernel that runs: nominal clock x SIMD lanes of
+// its ISA (choose_isa(), so EMBER_SIMD lowers the peak with the width) x
+// 2 (FMA counts as two flops) x 2 (two FMA ports per core on the
+// AVX2/AVX-512 parts this targets). 0 when the clock could not be probed.
+double dp_peak_gflops_core(const ember::obs::MachineInfo& m,
+                           ember::snap::simd::SimdIsa isa) {
+  return m.clock_ghz * ember::snap::simd::lane_width(isa) * 2.0 * 2.0;
 }
 
 // == Output pipeline: dumps off vs sync vs async ============================
@@ -366,7 +365,6 @@ void print_io_bench(const IoBench& b) {
 ember::bench::Recorder production_recording(const ProductionBench& b) {
   using ember::obs::Json;
   using ember::snap::simd::lane_width;
-  using ember::snap::simd::max_supported_isa;
   using ember::snap::simd::to_string;
   ember::bench::Recorder rec("headline_production_kernel");
   // This bench is single-rank thread-pool work; the transport named here
@@ -404,10 +402,10 @@ ember::bench::Recorder production_recording(const ProductionBench& b) {
   // Table-I-style readout: measured per-stage GFLOP/s against the DP peak
   // of one core (the paper reports 24.9% of Summit's peak at node scale;
   // this is the same accounting at core scale).
-  const double peak = dp_peak_gflops_core(mach);
+  const double peak = dp_peak_gflops_core(mach, b.isa);
   Json roofline = Json::object();
-  roofline.set("probed_isa", to_string(max_supported_isa()));
-  roofline.set("lane_width", lane_width(max_supported_isa()));
+  roofline.set("isa", to_string(b.isa));
+  roofline.set("lane_width", lane_width(b.isa));
   roofline.set("clock_ghz", mach.clock_ghz, "%.2f");
   roofline.set("dp_peak_gflops_core", peak, "%.1f");
   Json stages = Json::array();

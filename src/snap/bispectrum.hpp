@@ -30,9 +30,9 @@
 //        the recursion to dE/da, dE/db, and the chain rule through the
 //        mapping's da/db gives the force. No dU is formed.
 //
-// The lane width is chosen at construction from the CPU: 4 (AVX2, also
-// on AVX-512 hosts) or 1 (portable scalar), and the EMBER_SIMD
-// environment variable can only lower it (see simd/dispatch.hpp).
+// The lane width is chosen at construction from the CPU: 8 (AVX-512),
+// 4 (AVX2) or 1 (portable scalar), and the EMBER_SIMD environment
+// variable can only lower it (see simd/dispatch.hpp).
 //
 // Atom blocks. SnapPotential runs compute_ui(rij, wj, lane) for each atom
 // of a block, one compute_yi_block, then energy_from_yi and

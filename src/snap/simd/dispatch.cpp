@@ -14,6 +14,8 @@ const char* to_string(SimdIsa isa) {
       return "scalar";
     case SimdIsa::Avx2:
       return "avx2";
+    case SimdIsa::Avx512:
+      return "avx512";
   }
   return "scalar";
 }
@@ -24,6 +26,8 @@ int lane_width(SimdIsa isa) {
       return 1;
     case SimdIsa::Avx2:
       return 4;
+    case SimdIsa::Avx512:
+      return 8;
   }
   return 1;
 }
@@ -32,6 +36,9 @@ namespace {
 
 SimdIsa probe_cpu() {
 #if defined(__x86_64__) || defined(__i386__)
+#if defined(EMBER_SNAP_HAVE_AVX512)
+  if (__builtin_cpu_supports("avx512f")) return SimdIsa::Avx512;
+#endif
 #if defined(EMBER_SNAP_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return SimdIsa::Avx2;
@@ -58,8 +65,10 @@ SimdIsa choose_isa() {
     requested = SimdIsa::Scalar;
   } else if (value == "avx2") {
     requested = SimdIsa::Avx2;
+  } else if (value == "avx512") {
+    requested = SimdIsa::Avx512;
   } else {
-    throw Error("EMBER_SIMD must be 'avx2' or 'scalar' (got '" +
+    throw Error("EMBER_SIMD must be 'avx512', 'avx2' or 'scalar' (got '" +
                 value + "')");
   }
   // The override only lowers: a request above the machine/binary
@@ -74,6 +83,12 @@ const SimdOps& ops_for(SimdIsa isa) {
     case SimdIsa::Avx2:
 #if defined(EMBER_SNAP_HAVE_AVX2)
       return avx2_ops();
+#else
+      break;
+#endif
+    case SimdIsa::Avx512:
+#if defined(EMBER_SNAP_HAVE_AVX512)
+      return avx512_ops();
 #else
       break;
 #endif

@@ -5,28 +5,25 @@
 // The production adjoint kernel batches the Wigner-U recursion and the
 // Y : dU* contraction over blocks of neighbors, one neighbor per vector
 // lane. It is one width-generic template (kernels_impl.hpp) instantiated
-// at two widths: 4 (AVX2) and 1 (Scalar, portable C++). Which width runs
-// is decided once per Bispectrum, at construction:
+// at three widths: 8 (AVX-512F), 4 (AVX2 + FMA) and 1 (Scalar, portable
+// C++). Which width runs is decided once per Bispectrum, at construction:
 //
 //   max_supported_isa()  CPUID probe of the executing machine, clamped to
 //                        the backends this binary was built with (non-x86
-//                        builds compile neither vector TU and always
-//                        report Scalar).
+//                        builds compile no vector TU and always report
+//                        Scalar).
 //   choose_isa()         max_supported_isa() further clamped by the
 //                        EMBER_SIMD environment variable
-//                        ("avx2" | "scalar"); unknown values throw. The
-//                        override can only lower the ISA — requesting
-//                        AVX2 on a scalar-only host yields Scalar.
+//                        ("avx512" | "avx2" | "scalar"); unknown values
+//                        throw. The override can only lower the ISA —
+//                        requesting AVX-512 on an AVX2 host yields AVX2.
 //
-// AVX-512 hosts run the AVX2 kernel. A 512-bit instantiation (width 8)
-// was 1.15-1.45x faster per kernel call on a shared 4-core Sapphire Rapids
-// VM, but its speed followed the load on the host far less than the
-// surrounding 256-bit and scalar code did: against a fixed scalar loop
-// timed beside it, its time moved with elasticity 0.54, the 256-bit
-// kernel's 0.82-0.92 and the scalar kernel's 0.95-1.0 (likely the
-// frequency license of 512-bit FP work). A step made mostly of 512-bit work then
-// ran up to 25 % faster or slower relative to everything else depending
-// on what the other cores did.
+// AVX-512 hosts run width 8. On a 4-core AMD Zen 5 host (full-width
+// 512-bit FMA, no frequency licence) it runs snap_serial ~1.4x faster
+// than width 4. On a shared Sapphire Rapids VM its speed followed host
+// load with elasticity 0.54 against ~0.9 for 256-bit code (likely the
+// frequency licence of 512-bit FP work), so there EMBER_SIMD=avx2 gives
+// steadier timings (DESIGN.md §8.1).
 //
 // Every ISA has a kernel table; Scalar is the width-1 instantiation, not
 // a separate code path.
@@ -37,9 +34,11 @@
 
 namespace ember::snap::simd {
 
+// Ordered by width: choose_isa() clamps by comparing enumerators.
 enum class SimdIsa {
   Scalar,  // 1 neighbor lane (portable instantiation)
   Avx2,    // 4 neighbor lanes per 256-bit register
+  Avx512,  // 8 neighbor lanes per 512-bit register
 };
 
 [[nodiscard]] const char* to_string(SimdIsa isa);

@@ -24,9 +24,9 @@
 // depend on its position or on its block mates.
 //
 // The structs below are plain pointers + sizes so this header needs no
-// intrinsics. The implementations are instantiated in kernels_avx2.cpp
-// (width 4) — the only TU allowed to include immintrin.h — and
-// kernels_scalar.cpp (width 1, portable C++).
+// intrinsics. The implementations are instantiated in kernels_avx512.cpp
+// (width 8) and kernels_avx2.cpp (width 4) — the only TUs allowed to
+// include immintrin.h — and kernels_scalar.cpp (width 1, portable C++).
 
 #include "snap/indexing.hpp"
 
@@ -113,10 +113,11 @@ struct SimdOps {
   void (*yi_block)(const YiBlockArgs&) = nullptr;
 };
 
-// Defined in the per-ISA TUs. The vector table is only compiled when the
-// toolchain supports the flags (EMBER_SNAP_HAVE_AVX2); the scalar table
-// always is.
+// Defined in the per-ISA TUs. A vector table is only compiled when the
+// toolchain supports its flags (EMBER_SNAP_HAVE_AVX2,
+// EMBER_SNAP_HAVE_AVX512); the scalar table always is.
 [[nodiscard]] const SimdOps& scalar_ops();
 [[nodiscard]] const SimdOps& avx2_ops();
+[[nodiscard]] const SimdOps& avx512_ops();
 
 }  // namespace ember::snap::simd

@@ -34,9 +34,10 @@
 // is then Sd = G . (dRe a/dx_d, dIm a/dx_d, dRe b/dx_d, dIm b/dx_d). No
 // derivative plane is formed: the sweep reads U and one Lambda plane pair.
 //
-// Two translation units instantiate the templates, each with a wrapper
+// Three translation units instantiate the templates, each with a wrapper
 // V over its register type:
 //
+//   kernels_avx512.cpp  width 8  (__m512d)
 //   kernels_avx2.cpp    width 4  (__m256d)
 //   kernels_scalar.cpp  width 1  (double; the portable fallback)
 //
@@ -52,7 +53,8 @@
 //   static V fnma(a, b, c)  = c - a * b
 //   operators *, +, -  (element-wise)
 //
-// Width 4 uses single-rounding FMA; width 1 uses a plain multiply-add.
+// Widths 8 and 4 use single-rounding FMA; width 1 uses a plain
+// multiply-add.
 // Results of the widths differ only by that rounding and
 // by the lane order of the Utot sum, well inside the 1e-12 parity budget
 // against the Baseline (Z/dB) path.

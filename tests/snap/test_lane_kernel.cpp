@@ -77,7 +77,8 @@ class ScopedSimdEnv {
 // Every ISA this host and binary can run, scalar first.
 std::vector<simd::SimdIsa> host_isas() {
   std::vector<simd::SimdIsa> isas;
-  for (const auto isa : {simd::SimdIsa::Scalar, simd::SimdIsa::Avx2}) {
+  for (const auto isa : {simd::SimdIsa::Scalar, simd::SimdIsa::Avx2,
+                         simd::SimdIsa::Avx512}) {
     if (static_cast<int>(isa) <= static_cast<int>(simd::max_supported_isa())) {
       isas.push_back(isa);
     }
@@ -751,9 +752,15 @@ TEST(SimdDispatch, OverrideOnlyLowersTheIsa) {
     EXPECT_EQ(simd::choose_isa(), simd::SimdIsa::Scalar);
   }
   {
-    // The highest request is clamped to the capability (down, on a
-    // scalar-only host) instead of failing.
+    // avx2 lowers an AVX-512 host to width 4 and clamps a scalar-only
+    // host down instead of failing.
     ScopedSimdEnv env("avx2");
+    EXPECT_EQ(simd::lane_width(simd::choose_isa()),
+              std::min(4, simd::lane_width(cap)));
+  }
+  {
+    // The highest request is clamped to the capability.
+    ScopedSimdEnv env("avx512");
     EXPECT_EQ(simd::choose_isa(), cap);
   }
   {
@@ -767,16 +774,18 @@ TEST(SimdDispatch, UnknownOverrideThrows) {
   EXPECT_THROW(static_cast<void>(simd::choose_isa()), Error);
   EXPECT_THROW(Bispectrum(base_params(2)), Error);
   {
-    // There is no 512-bit backend: the value is rejected, not ignored.
-    ScopedSimdEnv old("avx512");
-    EXPECT_THROW(static_cast<void>(simd::choose_isa()), Error);
+    // Every ISA name is a valid value, whether or not the host runs it.
+    ScopedSimdEnv known("avx512");
+    EXPECT_NO_THROW(static_cast<void>(simd::choose_isa()));
   }
 }
 
 TEST(SimdDispatch, LaneWidthMatchesIsa) {
   EXPECT_EQ(simd::lane_width(simd::SimdIsa::Scalar), 1);
   EXPECT_EQ(simd::lane_width(simd::SimdIsa::Avx2), 4);
+  EXPECT_EQ(simd::lane_width(simd::SimdIsa::Avx512), 8);
   EXPECT_STREQ(simd::to_string(simd::SimdIsa::Avx2), "avx2");
+  EXPECT_STREQ(simd::to_string(simd::SimdIsa::Avx512), "avx512");
   // Every ISA the host runs has a kernel table of its lane width.
   for (const simd::SimdIsa isa : host_isas()) {
     EXPECT_EQ(simd::ops_for(isa).width, simd::lane_width(isa));
