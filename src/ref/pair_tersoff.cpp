@@ -31,17 +31,18 @@ double PairTersoff::g_theta_d(double costheta) const {
   return -2.0 * p_.gamma * c2 * u / (denom * denom);
 }
 
-double PairTersoff::bij(double zeta) const {
-  if (zeta <= 0.0) return 1.0;
+PairTersoff::BondOrder PairTersoff::bond_order(double zeta) const {
+  if (zeta <= 0.0) return {1.0, 0.0};
+  // b = (1 + t)^(-1/2n) with t = (beta zeta)^n, so
+  // db/dzeta = -1/2 (1 + t)^(-1/2n - 1) t / zeta = -1/2 b / (1 + t) t / zeta.
   const double t = std::pow(p_.beta * zeta, p_.n);
-  return std::pow(1.0 + t, -1.0 / (2.0 * p_.n));
+  const double b = std::pow(1.0 + t, -1.0 / (2.0 * p_.n));
+  return {b, -0.5 * b / (1.0 + t) * (t / zeta)};
 }
 
-double PairTersoff::bij_d(double zeta) const {
-  if (zeta <= 0.0) return 0.0;
-  const double t = std::pow(p_.beta * zeta, p_.n);
-  return -0.5 * std::pow(1.0 + t, -1.0 / (2.0 * p_.n) - 1.0) * (t / zeta);
-}
+double PairTersoff::bij(double zeta) const { return bond_order(zeta).b; }
+
+double PairTersoff::bij_d(double zeta) const { return bond_order(zeta).db; }
 
 md::EnergyVirial PairTersoff::compute(const md::ComputeContext& ctx,
                                       md::System& sys,
@@ -61,30 +62,46 @@ md::EnergyVirial PairTersoff::compute(const md::ComputeContext& ctx,
   const std::span<Vec3> f =
       tid == 0 ? std::span<Vec3>(sys.f) : std::span<Vec3>(s.f);
 
-  // Scratch: in-range neighbors of the current atom.
+  // Scratch: in-range neighbors of the current atom with their cutoff
+  // function, and the angular terms of pair (j, k) for the current j,
+  // taken once in the zeta loop and reused by the three-body forces.
   struct Nb {
-    Vec3 d;     // displacement i -> neighbor
+    Vec3 d;       // displacement i -> neighbor
     double r;
+    double fc;
+    double fc_d;
     int j;
   };
+  struct Angle {
+    double cost;  // cos(theta_ijk)
+    double g;     // g(theta) and g'(cos theta)
+    double gd;
+    double ex;    // exp(lambda3^m (r_ij - r_ik)^m) and its r_ij derivative
+    double dex;
+  };
   std::vector<Nb> nbr;
+  std::vector<Angle> ang;
+  const double l3m = std::pow(p_.lambda3, p_.m);
 
   for (int i = bb; i < ee; ++i) {
     nbr.clear();
     for (const auto& en : nl.neighbors(i)) {
       const Vec3 d = sys.x[en.j] + en.shift - sys.x[i];
       const double r2 = d.norm2();
-      if (r2 < rc2) nbr.push_back({d, std::sqrt(r2), en.j});
+      if (r2 >= rc2) continue;
+      const double r = std::sqrt(r2);
+      const double fcr = fc(r);
+      if (fcr == 0.0) continue;
+      nbr.push_back({d, r, fcr, fc_d(r), en.j});
     }
+    ang.resize(nbr.size());
 
     for (std::size_t jj = 0; jj < nbr.size(); ++jj) {
       const Vec3& rij = nbr[jj].d;
       const double r1 = nbr[jj].r;
       const int j = nbr[jj].j;
-
-      const double fc_ij = fc(r1);
-      if (fc_ij == 0.0) continue;
-      const double fcd_ij = fc_d(r1);
+      const double fc_ij = nbr[jj].fc;
+      const double fcd_ij = nbr[jj].fc_d;
       const double fr = p_.A * std::exp(-p_.lambda1 * r1);
       const double fa = -p_.B * std::exp(-p_.lambda2 * r1);
       const double fr_d = -p_.lambda1 * fr;
@@ -95,19 +112,20 @@ md::EnergyVirial PairTersoff::compute(const md::ComputeContext& ctx,
       for (std::size_t kk = 0; kk < nbr.size(); ++kk) {
         if (kk == jj) continue;
         const double r2k = nbr[kk].r;
-        const double fc_ik = fc(r2k);
-        if (fc_ik == 0.0) continue;
-        const double cost = dot(rij, nbr[kk].d) / (r1 * r2k);
-        double ex = 1.0;
+        Angle& a = ang[kk];
+        a.cost = dot(rij, nbr[kk].d) / (r1 * r2k);
+        a.g = g_theta(a.cost);
+        a.gd = g_theta_d(a.cost);
+        a.ex = 1.0;
+        a.dex = 0.0;
         if (p_.lambda3 != 0.0) {
-          const double arg = std::pow(p_.lambda3, p_.m) *
-                             std::pow(r1 - r2k, p_.m);
-          ex = std::exp(arg);
+          const double dr = r1 - r2k;
+          a.ex = std::exp(l3m * std::pow(dr, p_.m));
+          a.dex = l3m * p_.m * std::pow(dr, p_.m - 1.0) * a.ex;
         }
-        zeta += fc_ik * g_theta(cost) * ex;
+        zeta += nbr[kk].fc * a.g * a.ex;
       }
-      const double b = bij(zeta);
-      const double db = bij_d(zeta);
+      const auto [b, db] = bond_order(zeta);
 
       // Pair part: e2 = 1/2 fC (fR + b fA) at fixed b.
       s.energy += 0.5 * fc_ij * (fr + b * fa);
@@ -126,35 +144,22 @@ md::EnergyVirial PairTersoff::compute(const md::ComputeContext& ctx,
         if (kk == jj) continue;
         const Vec3& rik = nbr[kk].d;
         const double r2k = nbr[kk].r;
-        const double fc_ik = fc(r2k);
-        if (fc_ik == 0.0) continue;
+        const double fc_ik = nbr[kk].fc;
+        const double fcd_ik = nbr[kk].fc_d;
         const int k = nbr[kk].j;
-        const double fcd_ik = fc_d(r2k);
-        const double cost = dot(rij, rik) / (r1 * r2k);
-        const double g = g_theta(cost);
-        const double gd = g_theta_d(cost);
-        double ex = 1.0;
-        double dexdrij = 0.0;
-        double dexdrik = 0.0;
-        if (p_.lambda3 != 0.0) {
-          const double l3m = std::pow(p_.lambda3, p_.m);
-          const double dr = r1 - r2k;
-          ex = std::exp(l3m * std::pow(dr, p_.m));
-          const double dd = l3m * p_.m * std::pow(dr, p_.m - 1.0) * ex;
-          dexdrij = dd;
-          dexdrik = -dd;
-        }
+        const auto [cost, g, gd, ex, dex] = ang[kk];
 
         // Gradients of cos(theta) w.r.t. the positions of j and k.
         const Vec3 dcos_dj = (1.0 / (r1 * r2k)) * rik - (cost / (r1 * r1)) * rij;
         const Vec3 dcos_dk = (1.0 / (r1 * r2k)) * rij - (cost / (r2k * r2k)) * rik;
 
-        // dzeta/dr_j, dzeta/dr_k (r_i picks up the negative sum).
+        // dzeta/dr_j, dzeta/dr_k (r_i picks up the negative sum); the
+        // exponential depends on r_ij - r_ik, so d/dr_ik = -dex.
         Vec3 dzeta_dj = fc_ik * ex * gd * dcos_dj;
-        if (dexdrij != 0.0) dzeta_dj += (fc_ik * g * dexdrij / r1) * rij;
+        if (dex != 0.0) dzeta_dj += (fc_ik * g * dex / r1) * rij;
         Vec3 dzeta_dk = fc_ik * ex * gd * dcos_dk +
                         ((fcd_ik * ex * g) / r2k) * rik;
-        if (dexdrik != 0.0) dzeta_dk += (fc_ik * g * dexdrik / r2k) * rik;
+        if (dex != 0.0) dzeta_dk += (fc_ik * g * -dex / r2k) * rik;
 
         const Vec3 fj = -pf * dzeta_dj;  // force on atom j
         const Vec3 fk = -pf * dzeta_dk;  // force on atom k

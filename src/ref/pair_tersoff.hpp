@@ -56,6 +56,13 @@ class PairTersoff final : public md::PairPotential {
   [[nodiscard]] double bij_d(double zeta) const;
 
  private:
+  struct BondOrder {
+    double b;   // b_ij(zeta)
+    double db;  // d b_ij / d zeta
+  };
+  // bij and bij_d from one t = (beta zeta)^n.
+  [[nodiscard]] BondOrder bond_order(double zeta) const;
+
   TersoffParams p_;
 };
 

@@ -170,25 +170,6 @@ void Bispectrum::u_recursion(const CayleyKlein& ck) {
   }
 }
 
-void Bispectrum::pack_ck_lane(double* slots, int lane, const CayleyKlein& ck,
-                              double wj) const {
-  const int width = ops_.width;
-  double* s = slots + lane;
-  s[simd::kCkARe * width] = ck.a.re;
-  s[simd::kCkAIm * width] = ck.a.im;
-  s[simd::kCkBRe * width] = ck.b.re;
-  s[simd::kCkBIm * width] = ck.b.im;
-  for (int d = 0; d < 3; ++d) {
-    s[(simd::kCkDaRe0 + d) * width] = ck.da[d].re;
-    s[(simd::kCkDaIm0 + d) * width] = ck.da[d].im;
-    s[(simd::kCkDbRe0 + d) * width] = ck.db[d].re;
-    s[(simd::kCkDbIm0 + d) * width] = ck.db[d].im;
-    s[(simd::kCkDfc0 + d) * width] = ck.dfc[d];
-  }
-  s[simd::kCkFc * width] = ck.fc;
-  s[simd::kCkW * width] = wj;
-}
-
 simd::UiBlockArgs Bispectrum::ui_args(const double* ck, double* acc_re,
                                       double* acc_im) {
   return {params_.twojmax, idx_.u_half_block_data(), idx_.u_half_total(),
@@ -225,17 +206,21 @@ void Bispectrum::compute_ui(std::span<const Vec3> rij,
           is_aligned(lane_acc_re_.data()) && is_aligned(lane_acc_im_.data()),
       "SNAP lane-kernel planes must be 64-byte aligned"));
 
+  simd::MapBlockArgs map{.rcut = params_.rcut,
+                         .rfac0 = params_.rfac0,
+                         .rmin0 = params_.rmin0,
+                         .switch_flag = params_.switch_flag};
   for (int b = 0; b < nblk; ++b) {
     double* slots = ck.data() + static_cast<std::size_t>(b) * ck_block;
+    map.rij = rij.data() + static_cast<std::size_t>(b) * w;
+    map.n = std::min(w, nn - b * w);
+    map.ck = slots;
+    EMBER_REQUIRE(ops_.map_block(map), "neighbor distance outside (0, rcut)");
+    // Padded lanes repeat the last neighbor's mapping with weight 0: the
+    // recursion stays finite and their contributions vanish.
     for (int l = 0; l < w; ++l) {
-      // Padded lanes repeat the last neighbor's mapping with weight 0: the
-      // recursion stays finite and their contributions vanish.
-      const int k = std::min(b * w + l, nn - 1);
-      const double wk = b * w + l < nn ? (wj.empty() ? 1.0 : wj[k]) : 0.0;
-      pack_ck_lane(slots, l,
-                   map_to_sphere(rij[k], params_.rcut, params_.rfac0,
-                                 params_.rmin0, params_.switch_flag),
-                   wk);
+      slots[simd::kCkW * w + l] =
+          l < map.n ? (wj.empty() ? 1.0 : wj[b * w + l]) : 0.0;
     }
     ops_.ui_block(ui_args(slots, lane_acc_re_.data(), lane_acc_im_.data()));
   }
@@ -494,7 +479,9 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
 // ---- analytic FLOP estimates (see the counting helpers at the top) -----
 
 double Bispectrum::flops_ui(int nnbor) const {
-  // mapping ~60, half recursion ~22 + accumulation 4 per half element.
+  // Per neighbor: the lane-wide mapping ~60 (libm tan/cos/sin not
+  // counted), and per half element the recursion ~22 plus the w fc U
+  // accumulation 4 fused into it.
   return static_cast<double>(nnbor) *
          (60.0 + 26.0 * static_cast<double>(idx_.u_half_total()));
 }

@@ -20,8 +20,9 @@
 // (the rest follows from U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb]))
 // in split re/im planes:
 //
-//   ui   per atom, one neighbor per lane: the U recursion and the
-//        weighted Utot sum, expanded to the full range in the atom's lane.
+//   ui   per atom, one neighbor per lane: the Cayley-Klein mapping
+//        (map_block), then the U recursion with the weighted Utot sum
+//        fused into it, expanded to the full range in the atom's lane.
 //        Only each neighbor's Cayley-Klein mapping is kept for dE.
 //   yi   one atom per lane: the flat work list of SnapIndex swept over a
 //        block of up to lane-width atoms (compute_yi_block).
@@ -192,11 +193,6 @@ class Bispectrum {
   // derivative recursion into dulist_raw_ (du of the bare u, before the
   // fc/weight product rule).
   void u_recursion(const CayleyKlein& ck);
-
-  // Pack one neighbor's mapping and weight into lane `lane` of the block
-  // slots `slots` (kCkSlots x width).
-  void pack_ck_lane(double* slots, int lane, const CayleyKlein& ck,
-                    double wj) const;
 
   // z-matrix element (row ma, col mb) of coupling triple t, from utot_.
   [[nodiscard]] Cplx z_element(const ZTriple& t, int ma, int mb) const;

@@ -16,6 +16,7 @@
 // entry records which canonical B component it contributes to and with what
 // multiplicity/normalization.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -77,6 +78,11 @@ struct BTriple {
 
 // Largest supported 2J.
 inline constexpr int kMaxTwojmax = 24;
+// Largest Y work list (SnapIndex::y_list_bytes) a SNAP model file may ask
+// for; SnapModel::load rejects a twojmax above it. The list grows as
+// O(J^7): 0.4 MB at 2J=8, 11.6 MB at 2J=14, 370 MB at 2J=24. Every
+// process that runs a model builds its list once, before the first step.
+inline constexpr std::size_t kMaxYListBytes = std::size_t{64} << 20;
 // A packed Y term holds two full-range U indices (u_total = sum of
 // (j+1)^2) in 16 bits each.
 static_assert((kMaxTwojmax + 1) * (kMaxTwojmax + 2) * (2 * kMaxTwojmax + 3) /
@@ -156,6 +162,9 @@ class SnapIndex {
   [[nodiscard]] const std::vector<double>& y_term_c() const {
     return y_term_c_;
   }
+  // Bytes of the work list of SnapIndex(twojmax), outputs plus terms,
+  // counted without building the index or allocating the list.
+  [[nodiscard]] static std::size_t y_list_bytes(int twojmax);
 
  private:
   int twojmax_;

@@ -2,9 +2,10 @@
 
 // Argument blocks and the per-ISA kernel table of the SNAP lane kernel.
 //
-// Three kernels share one lane layout, with two kinds of lane:
+// Four kernels share one lane layout, with two kinds of lane:
 //
-//   ui_block, dei_block  one neighbor of one atom per lane (neighbor lanes)
+//   map_block, ui_block, dei_block
+//                        one neighbor of one atom per lane (neighbor lanes)
 //   yi_block             one atom per lane (atom lanes): Y does the same
 //                        work for every atom, so the work list and its
 //                        coefficients are broadcast and only Utot differs
@@ -15,19 +16,23 @@
 // aligned (common/aligned.hpp) and lane offsets are width multiples, so
 // every access is aligned.
 //
-// Remainder policy. The caller pads short blocks. Padded neighbor lanes
-// carry a copy of the last active neighbor's Cayley-Klein parameters
-// (keeps the recursion finite) and a zero weight, so their contributions
-// vanish in the weighted accumulation and their force outputs are
-// ignored. Padded atom lanes hold a finite stale Utot whose Y is never
-// read. No lane reads another lane's data, so a lane's result does not
-// depend on its position or on its block mates.
+// Remainder policy. Short neighbor blocks are padded: map_block copies
+// the last active lane's mapping into the padded lanes (keeps the
+// recursion finite) and the caller gives them a zero weight, so their
+// contributions vanish in the weighted accumulation and their force
+// outputs are ignored. Padded atom lanes hold a finite stale Utot whose
+// Y is never read. No lane reads another lane's data, so a lane's result
+// does not depend on its position or on its block mates.
 //
 // The structs below are plain pointers + sizes so this header needs no
 // intrinsics. The implementations are instantiated in kernels_avx512.cpp
 // (width 8) and kernels_avx2.cpp (width 4) — the only TUs allowed to
 // include immintrin.h — and kernels_scalar.cpp (width 1, portable C++).
+// All three compile with -ffp-contract=off (src/snap/CMakeLists.txt):
+// every FMA the kernels want is an explicit V::fma, and a contracted
+// multiply-add in the mapping would make the widths disagree.
 
+#include "common/vec3.hpp"
 #include "snap/indexing.hpp"
 
 namespace ember::snap::simd {
@@ -48,12 +53,31 @@ inline constexpr int kCkDfc0 = 17;   // .. kCkDfc0 + d
 inline constexpr int kCkW = 20;      // bare neighbor weight wj
 inline constexpr int kCkSlots = 21;
 
-// Batched bare-U half-range recursion + weighted Utot accumulation for
-// one neighbor block. Writes the bare per-neighbor U planes and
-// accumulates wfc * U into the lane-interleaved Utot accumulator (reduced
-// over lanes by the caller after the last block). With acc_re == nullptr
-// it runs the recursion alone: the dE pass replays it to rebuild the bare
-// U that dei_block's reverse sweep reads.
+// Cayley-Klein mapping of one neighbor block onto the 3-sphere (LAMMPS
+// convention, see map_to_sphere in snap/wigner.hpp, which is the width-1
+// call of this kernel). Fills every slot but kCkW: a, b, their Cartesian
+// derivatives, fc and dfc. Each active lane's libm tan, cos and sin are
+// scalar calls; the rest of the algebra runs lane-wide in the same
+// operation order at every width, so all widths give the same bits.
+// Lanes n..width-1 copy lane n-1. Returns false if some active lane's
+// |rij| lies outside (0, rcut); its slots are then meaningless.
+struct MapBlockArgs {
+  double rcut = 0.0;
+  double rfac0 = 0.0;
+  double rmin0 = 0.0;
+  bool switch_flag = true;
+  const Vec3* rij = nullptr;        // the block's displacements, n of them
+  int n = 0;                        // active lanes, 1..width
+  double* ck = nullptr;             // kCkSlots * width lane-packed slots out
+};
+
+// Bare-U half-range recursion for one neighbor block, fused with the
+// weighted Utot accumulation: each element of the bare per-neighbor U
+// planes is stored and, in the same loop, w * fc * U is added into the
+// lane-interleaved Utot accumulator (reduced over lanes by the caller
+// after the last block). With acc_re == nullptr it runs the recursion
+// alone: the dE pass replays it to rebuild the bare U that dei_block's
+// reverse sweep reads.
 struct UiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;  // u_half_block(j) offsets, twojmax+1
@@ -108,6 +132,7 @@ struct DeiBlockArgs {
 
 struct SimdOps {
   int width = 1;  // lanes per block
+  bool (*map_block)(const MapBlockArgs&) = nullptr;
   void (*ui_block)(const UiBlockArgs&) = nullptr;
   void (*dei_block)(const DeiBlockArgs&) = nullptr;
   void (*yi_block)(const YiBlockArgs&) = nullptr;

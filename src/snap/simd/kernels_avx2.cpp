@@ -1,5 +1,6 @@
 // AVX2 backend: 4 neighbor or atom lanes per 256-bit register. Compiled
-// with -mavx2 -mfma (per-file, see src/snap/CMakeLists.txt); guarded so a
+// with -mavx2 -mfma -ffp-contract=off (per-file, see
+// src/snap/CMakeLists.txt); guarded so a
 // build that defines EMBER_SNAP_HAVE_AVX2 without the flags still fails
 // loudly rather than emitting illegal instructions.
 
@@ -38,6 +39,8 @@ struct Vec4 {
   friend Vec4 operator*(Vec4 a, Vec4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend Vec4 operator+(Vec4 a, Vec4 b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend Vec4 operator-(Vec4 a, Vec4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
+  friend Vec4 operator/(Vec4 a, Vec4 b) { return {_mm256_div_pd(a.v, b.v)}; }
+  static Vec4 sqrt(Vec4 a) { return {_mm256_sqrt_pd(a.v)}; }
 };
 
 }  // namespace
@@ -45,6 +48,7 @@ struct Vec4 {
 const SimdOps& avx2_ops() {
   static const SimdOps ops{
       Vec4::width,
+      [](const MapBlockArgs& args) { return map_block_impl<Vec4>(args); },
       [](const UiBlockArgs& args) { ui_block_impl<Vec4>(args); },
       [](const DeiBlockArgs& args) { dei_block_impl<Vec4>(args); },
       [](const YiBlockArgs& args) { yi_block_impl<Vec4>(args); },

@@ -1,12 +1,12 @@
 #pragma once
 
 // The SNAP adjoint lane kernel: the only implementation of the
-// production ui, yi and dei stages.
+// Cayley-Klein mapping and of the production ui, yi and dei stages.
 //
-// ui_block and dei_block run one block of `width` neighbors of one atom,
-// one neighbor per lane; yi_block runs one block of `width` atoms, one
-// atom per lane. All three produce the half column range 2*mb <= j
-// (the other columns follow from U[j,ma,mb] = (-1)^(ma+mb)
+// map_block, ui_block and dei_block run one block of `width` neighbors of
+// one atom, one neighbor per lane; yi_block runs one block of `width`
+// atoms, one atom per lane. The U stages produce the half column range
+// 2*mb <= j (the other columns follow from U[j,ma,mb] = (-1)^(ma+mb)
 // conj(U[j,j-ma,j-mb])); yi_block reads the full-range Utot that the
 // caller expanded from it. The half recursion is closed: column mb of
 // level j reads column mb-1 (or 0) of level j-1, and
@@ -47,35 +47,177 @@
 //   static V load(const double*);          aligned load
 //   void store_to(double*) const;          aligned store
 //   static V broadcast(double); zero();
-//   static V neg(V);
+//   static V neg(V);                       sign flip (-0 for +0)
+//   static V sqrt(V);                      correctly rounded
 //   static V fma(a, b, c)   = a * b + c
 //   static V fmsub(a, b, c) = a * b - c
 //   static V fnma(a, b, c)  = c - a * b
-//   operators *, +, -  (element-wise)
+//   operators *, +, -, /  (element-wise, correctly rounded)
 //
 // Widths 8 and 4 use single-rounding FMA; width 1 uses a plain
-// multiply-add.
-// Results of the widths differ only by that rounding and
-// by the lane order of the Utot sum, well inside the 1e-12 parity budget
-// against the Baseline (Z/dB) path.
+// multiply-add. The TUs compile with -ffp-contract=off, so nothing else
+// fuses. The U stages of the widths differ only by that rounding and by
+// the lane order of the Utot sum, well inside the 1e-12 parity budget
+// against the Baseline (Z/dB) path. map_block uses no fma, so its
+// output is bitwise the same at every width.
 //
 // This header contains no intrinsics (ember_lint simd-intrinsics-include
 // confines those to the kernels_avx*.cpp TUs).
+
+#include <cmath>
 
 #include "snap/simd/kernels.hpp"
 
 namespace ember::snap::simd {
 
 template <class V>
-void ui_block_impl(const UiBlockArgs& g) {
+bool map_block_impl(const MapBlockArgs& g) {
+  constexpr int kW = V::width;
+  const int n = g.n;
+  // Gather the block into lanes; padded lanes repeat the last neighbor.
+  alignas(64) double lx[kW];
+  alignas(64) double ly[kW];
+  alignas(64) double lz[kW];
+  for (int l = 0; l < kW; ++l) {
+    const Vec3& d = g.rij[l < n ? l : n - 1];
+    lx[l] = d.x;
+    ly[l] = d.y;
+    lz[l] = d.z;
+  }
+  const V x = V::load(lx);
+  const V y = V::load(ly);
+  const V z = V::load(lz);
+
+  // theta0 = rfac0 pi (r - rmin0) / (rcut - rmin0),  z0 = r / tan(theta0)
+  const V r = V::sqrt(x * x + y * y + z * z);
+  const V rscale0 = V::broadcast(g.rfac0 * M_PI / (g.rcut - g.rmin0));
+  const V rmin0 = V::broadcast(g.rmin0);
+  const V arg = V::broadcast(M_PI) * (r - rmin0) /
+                V::broadcast(g.rcut - g.rmin0);
+
+  // The transcendental calls, one scalar libm call per active lane.
+  alignas(64) double lr[kW];
+  alignas(64) double lt[kW];
+  alignas(64) double lc[kW];
+  alignas(64) double ls[kW] = {};  // read only with the switch on
+  r.store_to(lr);
+  ((r - rmin0) * rscale0).store_to(lt);
+  arg.store_to(lc);
+  bool in_range = true;
+  for (int l = 0; l < n; ++l) {
+    in_range = in_range && lr[l] > 0.0 && lr[l] < g.rcut;
+    lt[l] = std::tan(lt[l]);
+    if (g.switch_flag) {
+      ls[l] = std::sin(lc[l]);
+      lc[l] = std::cos(lc[l]);
+    }
+  }
+  // Padded lanes copy lane n - 1 (width 1 has none; GCC's array-bounds
+  // check cannot see that under the sanitizer flags).
+  if constexpr (kW > 1) {
+    for (int l = n; l < kW; ++l) {
+      lt[l] = lt[l - 1];
+      lc[l] = lc[l - 1];
+      ls[l] = ls[l - 1];
+    }
+  }
+
+  const V z0 = r / V::load(lt);
+  const V rr = r * r + z0 * z0;
+  const V dz0dr = z0 / r - rscale0 * rr / r;
+  const V r0inv = V::broadcast(1.0) / V::sqrt(rr);
+  const V nr0inv = V::neg(r0inv);
+  double* ck = g.ck;
+  const auto put = [ck](int slot, V v) { v.store_to(ck + slot * kW); };
+
+  // a = r0inv (z0 - i z),  b = r0inv (y - i x)
+  put(kCkARe, r0inv * z0);
+  put(kCkAIm, nr0inv * z);
+  put(kCkBRe, r0inv * y);
+  put(kCkBIm, nr0inv * x);
+
+  // d(r0inv)/dx_d = -r0inv^3 (r + z0 dz0dr) x_d / r, and with the unit
+  // vector u_d = x_d / r:
+  //   da_d = (z0 - i z) dr0inv_d + r0inv dz0dr u_d  [- i r0inv at d = z]
+  //   db_d = (y - i x) dr0inv_d  [+ r0inv at d = y, - i r0inv at d = x]
+  // The `+ zero` terms are the zero parts of those complex sums; they
+  // turn a -0 into +0 exactly as the complex arithmetic does.
+  const V zero = V::zero();
+  const V dr0invdr = nr0inv * r0inv * r0inv * (r + z0 * dz0dr) / r;
+  const V r0dz0 = r0inv * dz0dr;
+  const V xs[3] = {x, y, z};
+  const V nx = V::neg(x);
+  const V nz = V::neg(z);
+  V u[3];
+  for (int d = 0; d < 3; ++d) {
+    const V dr0inv = dr0invdr * xs[d];
+    u[d] = xs[d] / r;
+    V dare = z0 * dr0inv + r0dz0 * u[d];
+    V daim = nz * dr0inv + zero;
+    V dbre = y * dr0inv;
+    V dbim = nx * dr0inv;
+    if (d == 0) {
+      dbre = dbre + zero;
+      dbim = dbim - r0inv;
+    } else if (d == 1) {
+      dbre = dbre + r0inv;
+      dbim = dbim + zero;
+    } else {
+      dare = dare + zero;
+      daim = daim - r0inv;
+    }
+    put(kCkDaRe0 + d, dare);
+    put(kCkDaIm0 + d, daim);
+    put(kCkDbRe0 + d, dbre);
+    put(kCkDbIm0 + d, dbim);
+  }
+
+  // fc = (cos(arg) + 1) / 2 with its radial derivative along u; 1 and 0
+  // with the switch off or inside rmin0.
+  if (!g.switch_flag) {
+    put(kCkFc, V::broadcast(1.0));
+    for (int d = 0; d < 3; ++d) put(kCkDfc0 + d, zero);
+    return in_range;
+  }
+  put(kCkFc, V::broadcast(0.5) * (V::load(lc) + V::broadcast(1.0)));
+  const V dfcdr =
+      V::broadcast(-0.5 * M_PI / (g.rcut - g.rmin0)) * V::load(ls);
+  for (int d = 0; d < 3; ++d) put(kCkDfc0 + d, dfcdr * u[d]);
+  for (int l = 0; l < kW; ++l) {
+    if (lr[l] <= g.rmin0) {
+      ck[kCkFc * kW + l] = 1.0;
+      for (int d = 0; d < 3; ++d) ck[(kCkDfc0 + d) * kW + l] = 0.0;
+    }
+  }
+  return in_range;
+}
+
+// The recursion, and with kAccumulate the fused Utot accumulation. Two
+// instantiations rather than a runtime test in the element loop: the
+// test slowed dei's replay (the recursion alone) by ~15 % at 2J=8.
+template <class V, bool kAccumulate>
+void ui_recursion(const UiBlockArgs& g) {
   constexpr int kW = V::width;
   const int tj = g.twojmax;
   double* ur = g.ur;
   double* ui = g.ui;
+  double* acc_re = g.acc_re;
+  double* acc_im = g.acc_im;
+  // Padded lanes carry w = 0, so their recursion output never reaches
+  // the accumulator.
+  V wfc = V::zero();
+  if constexpr (kAccumulate) {
+    wfc = V::load(g.ck + kCkW * kW) * V::load(g.ck + kCkFc * kW);
+  }
 
   // Element 0: bare U = 1 on every lane.
-  V::broadcast(1.0).store_to(ur);
+  const V one = V::broadcast(1.0);
+  one.store_to(ur);
   V::zero().store_to(ui);
+  if constexpr (kAccumulate) {
+    V::fma(wfc, one, V::load(acc_re)).store_to(acc_re);
+    V::fma(wfc, V::zero(), V::load(acc_im)).store_to(acc_im);
+  }
 
   const V are = V::load(g.ck + kCkARe * kW);
   const V aim = V::load(g.ck + kCkAIm * kW);
@@ -119,19 +261,21 @@ void ui_block_impl(const UiBlockArgs& g) {
         const int e = (blk + ma * hs + mb) * kW;
         vre.store_to(ur + e);
         vim.store_to(ui + e);
+        if constexpr (kAccumulate) {
+          V::fma(wfc, vre, V::load(acc_re + e)).store_to(acc_re + e);
+          V::fma(wfc, vim, V::load(acc_im + e)).store_to(acc_im + e);
+        }
       }
     }
   }
+}
 
-  if (g.acc_re == nullptr) return;  // replay: the recursion alone
-
-  // Weighted Utot accumulation: acc += w * fc * u. Padded lanes carry
-  // w = 0, so their recursion output never reaches the accumulator.
-  const V w = V::load(g.ck + kCkW * kW) * V::load(g.ck + kCkFc * kW);
-  for (int e = 0; e < g.nh; ++e) {
-    const int o = e * kW;
-    V::fma(w, V::load(ur + o), V::load(g.acc_re + o)).store_to(g.acc_re + o);
-    V::fma(w, V::load(ui + o), V::load(g.acc_im + o)).store_to(g.acc_im + o);
+template <class V>
+void ui_block_impl(const UiBlockArgs& g) {
+  if (g.acc_re == nullptr) {
+    ui_recursion<V, false>(g);  // replay: the recursion alone
+  } else {
+    ui_recursion<V, true>(g);
   }
 }
 

@@ -1,8 +1,11 @@
-// Scalar backend: the lane kernel at width 1, one neighbor (ui/dei) or
-// one atom (yi) per block. Intrinsics-free and compiled with the base
-// flags, so it runs on every host; EMBER_SIMD=scalar selects it on x86
-// as well. The per-atom Bispectrum::compute_yi[_coeffs] always runs this
-// table's yi_block.
+// Scalar backend: the lane kernel at width 1, one neighbor (map/ui/dei)
+// or one atom (yi) per block. Intrinsics-free and compiled with the base
+// flags plus -ffp-contract=off, so it runs on every host and fuses
+// nothing, whatever the base ISA; EMBER_SIMD=scalar selects it on x86 as
+// well. The per-atom Bispectrum::compute_yi[_coeffs] always runs this
+// table's yi_block, and map_to_sphere its map_block.
+
+#include <cmath>
 
 #include "snap/simd/kernels_impl.hpp"
 
@@ -27,6 +30,8 @@ struct Vec1 {
   friend Vec1 operator*(Vec1 a, Vec1 b) { return {a.v * b.v}; }
   friend Vec1 operator+(Vec1 a, Vec1 b) { return {a.v + b.v}; }
   friend Vec1 operator-(Vec1 a, Vec1 b) { return {a.v - b.v}; }
+  friend Vec1 operator/(Vec1 a, Vec1 b) { return {a.v / b.v}; }
+  static Vec1 sqrt(Vec1 a) { return {std::sqrt(a.v)}; }
 };
 
 }  // namespace
@@ -34,6 +39,7 @@ struct Vec1 {
 const SimdOps& scalar_ops() {
   static const SimdOps ops{
       Vec1::width,
+      [](const MapBlockArgs& args) { return map_block_impl<Vec1>(args); },
       [](const UiBlockArgs& args) { ui_block_impl<Vec1>(args); },
       [](const DeiBlockArgs& args) { dei_block_impl<Vec1>(args); },
       [](const YiBlockArgs& args) { yi_block_impl<Vec1>(args); },

@@ -135,6 +135,18 @@ void check_ncoeff(std::size_t n, int twojmax, const std::string& path) {
                     std::to_string(twojmax) + " has " + std::to_string(want));
   }
 }
+
+// The Y work list every process running this model builds once; the
+// file's twojmax must keep it within kMaxYListBytes.
+void check_index_budget(int twojmax, const std::string& path) {
+  const std::size_t bytes = SnapIndex::y_list_bytes(twojmax);
+  if (bytes > kMaxYListBytes) {
+    model_error(path, "twojmax",
+                std::to_string(twojmax) + " needs a " + std::to_string(bytes) +
+                    "-byte Y work list, above the budget of " +
+                    std::to_string(kMaxYListBytes) + " bytes");
+  }
+}
 }  // namespace
 
 SnapModel SnapModel::load(const std::string& path) {
@@ -163,8 +175,10 @@ SnapModel SnapModel::load(const std::string& path) {
       const auto n = parse_number<std::size_t>(v, path, key);
       if (!m.beta.empty()) model_error(path, key, "appears twice");
       // Checked before allocating: a corrupt count must not reach
-      // reserve().
+      // reserve(). A twojmax that changes after this line fails the final
+      // count check, so the index budget is checked here only.
       check_ncoeff(n, m.params.twojmax, path);
+      check_index_budget(m.params.twojmax, path);
       read_block(is, n, m.beta, path, key);
     } else if (key == "nquad") {
       const auto n = parse_number<std::size_t>(v, path, key);

@@ -4,57 +4,32 @@
 
 #include "common/error.hpp"
 #include "snap/factorial.hpp"
+#include "snap/simd/kernels.hpp"
 
 namespace ember::snap {
 
 CayleyKlein map_to_sphere(const Vec3& rij, double rcut, double rfac0,
                           double rmin0, bool switch_flag) {
-  const double r = rij.norm();
-  EMBER_REQUIRE(r > 0.0 && r < rcut, "neighbor distance outside (0, rcut)");
-
-  const double rscale0 = rfac0 * M_PI / (rcut - rmin0);
-  const double theta0 = (r - rmin0) * rscale0;
-  const double z0 = r / std::tan(theta0);
-  const double dz0dr = z0 / r - rscale0 * (r * r + z0 * z0) / r;
-
-  const double r0inv = 1.0 / std::sqrt(r * r + z0 * z0);
-  const double x = rij.x;
-  const double y = rij.y;
-  const double z = rij.z;
-
+  // The width-1 call of the lane kernel's mapping, so the Baseline,
+  // TestSNAP and lane-kernel paths share one implementation.
+  alignas(64) double s[simd::kCkSlots];
+  EMBER_REQUIRE(simd::scalar_ops().map_block({.rcut = rcut,
+                                               .rfac0 = rfac0,
+                                               .rmin0 = rmin0,
+                                               .switch_flag = switch_flag,
+                                               .rij = &rij,
+                                               .n = 1,
+                                               .ck = s}),
+                "neighbor distance outside (0, rcut)");
   CayleyKlein ck;
-  ck.a = {r0inv * z0, -r0inv * z};
-  ck.b = {r0inv * y, -r0inv * x};
-
-  // d(r0inv)/d alpha = -r0inv^3 * (r + z0 * dz0dr) * (x_alpha / r)
-  const double dr0invdr = -r0inv * r0inv * r0inv * (r + z0 * dz0dr) / r;
-  const double dr0inv[3] = {dr0invdr * x, dr0invdr * y, dr0invdr * z};
-  const double u[3] = {x / r, y / r, z / r};  // unit vector components
-
+  ck.a = {s[simd::kCkARe], s[simd::kCkAIm]};
+  ck.b = {s[simd::kCkBRe], s[simd::kCkBIm]};
   for (int d = 0; d < 3; ++d) {
-    // a = (z0 - i z) * r0inv
-    ck.da[d] = Cplx{z0, -z} * dr0inv[d] + Cplx{r0inv * dz0dr * u[d], 0.0};
-    // b = (y - i x) * r0inv
-    ck.db[d] = Cplx{y, -x} * dr0inv[d];
+    ck.da[d] = {s[simd::kCkDaRe0 + d], s[simd::kCkDaIm0 + d]};
+    ck.db[d] = {s[simd::kCkDbRe0 + d], s[simd::kCkDbIm0 + d]};
+    ck.dfc[d] = s[simd::kCkDfc0 + d];
   }
-  ck.da[2] += Cplx{0.0, -r0inv};  // d(-iz)/dz
-  ck.db[0] += Cplx{0.0, -r0inv};  // d(-ix)/dx
-  ck.db[1] += Cplx{r0inv, 0.0};   // d(y)/dy
-
-  if (switch_flag) {
-    if (r <= rmin0) {
-      ck.fc = 1.0;
-      ck.dfc[0] = ck.dfc[1] = ck.dfc[2] = 0.0;
-    } else {
-      const double arg = M_PI * (r - rmin0) / (rcut - rmin0);
-      ck.fc = 0.5 * (std::cos(arg) + 1.0);
-      const double dfcdr = -0.5 * M_PI / (rcut - rmin0) * std::sin(arg);
-      for (int d = 0; d < 3; ++d) ck.dfc[d] = dfcdr * u[d];
-    }
-  } else {
-    ck.fc = 1.0;
-    ck.dfc[0] = ck.dfc[1] = ck.dfc[2] = 0.0;
-  }
+  ck.fc = s[simd::kCkFc];
   return ck;
 }
 

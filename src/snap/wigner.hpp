@@ -41,6 +41,9 @@ struct CayleyKlein {
 // Map displacement rij (with |rij| in (0, rcut)) to the 3-sphere.
 // rfac0 and rmin0 follow the LAMMPS convention:
 //   theta0 = rfac0 * pi * (r - rmin0) / (rcut - rmin0),  z0 = r / tan(theta0).
+// The width-1 call of the lane kernel's map_block (src/snap/simd), so its
+// result is bitwise the lane kernel's at every width. Throws outside
+// (0, rcut).
 CayleyKlein map_to_sphere(const Vec3& rij, double rcut, double rfac0,
                           double rmin0, bool switch_flag);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -31,6 +32,19 @@ TEST(SnapIndex, ComponentCountsMatchThePaper) {
   EXPECT_EQ(SnapIndex(14).num_b(), 204);
   EXPECT_EQ(SnapIndex(0).num_b(), 1);
   EXPECT_EQ(SnapIndex(2).num_b(), 5);
+}
+
+TEST(SnapIndex, YListBytesCountsTheBuiltList) {
+  // The loader's budget check counts the work list without building it;
+  // the count must equal what the constructor builds.
+  for (const int twojmax : {0, 1, 2, 5, 8, 11, 14}) {
+    const SnapIndex idx(twojmax);
+    EXPECT_EQ(SnapIndex::y_list_bytes(twojmax),
+              idx.y_outputs().size() * sizeof(YOutput) +
+                  idx.y_term_u().size() * sizeof(std::uint32_t) +
+                  idx.y_term_c().size() * sizeof(double))
+        << "2J=" << twojmax;
+  }
 }
 
 TEST(SnapIndex, CanonicalTriplesAreOrdered) {

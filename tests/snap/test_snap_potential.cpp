@@ -244,6 +244,35 @@ TEST(SnapModel, LoadRejectsMalformedFilesNamingPathAndKey) {
   std::remove(path.c_str());
 }
 
+TEST(SnapModel, LoadRejectsTwojmaxAboveTheIndexBudget) {
+  // 2J=24 is in range and its coefficient count is right, but its Y work
+  // list (~370 MB) is above kMaxYListBytes: the error names the path, the
+  // key and the bytes. 2J=14, the paper's large model, loads.
+  const std::string path = "snap_model_budget_case.tmp";
+  const auto write = [&](int twojmax) {
+    std::ofstream os(path);
+    const int nb = SnapIndex::count_b(twojmax);
+    os << "twojmax " << twojmax << "\nrcut 3.0\nncoeff " << nb << "\n";
+    for (int i = 0; i < nb; ++i) os << "0.01\n";
+  };
+  write(24);
+  const std::size_t bytes = SnapIndex::y_list_bytes(24);
+  EXPECT_GT(bytes, kMaxYListBytes);
+  try {
+    static_cast<void>(SnapModel::load(path));
+    ADD_FAILURE() << "expected an error for twojmax 24";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("twojmax"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(bytes)), std::string::npos) << msg;
+  }
+  write(14);
+  EXPECT_LE(SnapIndex::y_list_bytes(14), kMaxYListBytes);
+  EXPECT_EQ(SnapModel::load(path).params.twojmax, 14);
+  std::remove(path.c_str());
+}
+
 TEST(SnapPotential, FlopCounterTracksWork) {
   const SnapModel model = tiny_model(8, 13);
   md::System sys = perturbed_diamond(2, 0.05, 14);
