@@ -11,7 +11,7 @@
 
 #include "common/table.hpp"
 #include "snap/indexing.hpp"
-#include "snap/testsnap.hpp"
+#include "testsnap_bars.hpp"
 
 int main() {
   using namespace ember;
@@ -27,17 +27,16 @@ int main() {
       "150 atoms, 26 neighbors (grind time is per atom).\n\n",
       idx.num_b(), idx.z_total(), idx.u_total());
 
-  snap::TestSnap ts(p, 150, 26, 2021);
-  const double t0 = ts.grind_time(snap::TestSnapVariant::V0_Baseline, 2);
-  TextTable table({"Variant", "Grind time (ms/atom)", "Speedup vs V0"});
-  for (const auto v : snap::kAllTestSnapVariants) {
-    const double t = ts.grind_time(v, 2);
-    table.add_row(snap::to_string(v), 1e3 * t, t0 / t);
+  const auto bars = bench::time_testsnap_bars(p, 150, 26, 2021, 2);
+  TextTable table({"Bar", "Grind time (us/atom)", "Speedup vs Baseline"});
+  for (const auto& b : bars) {
+    table.add_row(bench::bar_name(b), 1e6 * b.grind,
+                  bars.front().grind / b.grind);
   }
   table.print();
   std::printf(
-      "\nShape check vs the paper: gains concentrate in the adjoint (V3)\n"
-      "and symmetry (V5) steps; the large coupling sweep makes the\n"
-      "per-neighbor optimizations relatively less visible than at 2J = 8.\n");
+      "\nShape check vs the paper: the O(J^7) coupling sweep (Z in\n"
+      "Baseline, Y in Production) weighs on both bars here, so the adjoint\n"
+      "step and the lane width each gain less than at 2J = 8.\n");
   return 0;
 }

@@ -6,13 +6,8 @@
 //   * 22.9x the DeepMD record of 0.271 Matom-steps/node-s
 //   * ~1.7 MFLOP per atom-step, cross-checked against the analytic FLOP
 //     count of the ember SNAP kernel at the production problem size.
-//
-// Plus a *measured* node-level thread-scaling column: the TestSNAP
-// adjoint kernel (2J=8, 26 neighbors — the production workload of
-// bench_fig2) ground through the thread pool at 1/2/4/8 threads,
-// emitted as JSON for the scaling-curve table in README.
 
-// A fourth section measures the *production* SNAP force engine
+// A further section measures the *production* SNAP force engine
 // (SnapPotential over a periodic diamond system): the adjoint lane kernel
 // at the lane width the dispatcher picked, across thread counts, with its
 // force parity against the independent Baseline (Z/dB) path, and
@@ -21,14 +16,14 @@
 // repo root). The naive -> adjoint optimization story is the TestSNAP
 // benches (bench_fig2/fig3). Thread counts beyond the machine's hardware
 // threads are stamped "oversubscribed": flat curves from a small
-// container are annotated as such, not presented as scaling. A fifth
+// container are annotated as such, not presented as scaling. The next
 // section is the roofline readout: per-stage GFLOP/s from the kernel
 // timing counters and the analytic Bispectrum::flops_* counts, against a
 // DP peak derived from the probed ISA width and clock (the paper's
 // Table-I-style fraction-of-peak, at node scale in the paper, at core
 // scale here).
 
-// A sixth section benchmarks the output pipeline (DESIGN.md §13): the
+// A last section benchmarks the output pipeline (DESIGN.md §13): the
 // same short MD run with dumps off, synchronous dumps, and asynchronous
 // dumps, plus the on-disk size of XYZ vs the compressed EMBT1
 // trajectory — recorded as the "io" stanza of BENCH_headline.json with
@@ -62,38 +57,8 @@
 #include "snap/bispectrum.hpp"
 #include "snap/simd/dispatch.hpp"
 #include "snap/snap_potential.hpp"
-#include "snap/testsnap.hpp"
 
 namespace {
-
-// threads -> grind time [s/atom-step] for the V3 adjoint variant.
-void print_thread_scaling_json() {
-  using namespace ember;
-  snap::SnapParams p;
-  p.twojmax = 8;
-  p.rcut = 4.7;
-  snap::TestSnap ts(p, 2000, 26, 2021);
-  const auto v = snap::TestSnapVariant::V3_Adjoint;
-
-  std::printf("\n== Thread scaling (measured, TestSNAP %s, 2J=8) ==\n\n",
-              snap::to_string(v));
-  const double serial = ts.grind_time(v, 2);
-  obs::Json doc = obs::Json::object();
-  doc.set("variant", snap::to_string(v));
-  doc.set("twojmax", p.twojmax);
-  doc.set("natoms", ts.natoms());
-  doc.set("nnbor", ts.nnbor());
-  obs::Json curve = obs::Json::array();
-  for (const int nth : {1, 2, 4, 8}) {
-    const double g = nth == 1 ? serial : ts.grind_time(v, 2, {nth});
-    curve.push(obs::Json::object()
-                   .set("threads", nth)
-                   .set("s_per_atom_step", g, "%.4g")
-                   .set("speedup", serial / g, "%.2f"));
-  }
-  doc.set("grind_time", std::move(curve));
-  std::printf("%s\n", doc.dump(0).c_str());
-}
 
 // ---- production kernel benchmark ----------------------------------------
 
@@ -498,7 +463,6 @@ int main(int argc, char** argv) {
       model.predict(373248.0 * 4650, 4650).matom_steps_per_node_s() * 1e6 /
           373248.0 * 0.5e-6 * 86400.0);
 
-  print_thread_scaling_json();
   print_production_bench(json_path);
   return 0;
 }

@@ -5,13 +5,15 @@
 // We cannot time historical hardware, so this harness (a) reproduces the
 // table's *arithmetic* from the published speeds and nominal peaks —
 // the normalized fraction-of-peak column is derived, not copied — and
-// (b) appends measured rows for THIS host running the ember baseline and
-// optimized kernels on exactly the paper's problem size.
+// (b) appends measured rows for THIS host running the TestSNAP bars
+// (the Baseline oracle stages and the production kernel at each lane
+// width) on exactly the paper's problem size.
 
 #include <cstdio>
+#include <string>
 
 #include "common/table.hpp"
-#include "snap/testsnap.hpp"
+#include "testsnap_bars.hpp"
 
 namespace {
 
@@ -55,26 +57,15 @@ int main() {
     table.add_row(p.name, p.year, p.speed_katom_s, p.peak_tflops, frac);
   }
 
-  // Measured rows: this host, same problem size.
+  // Measured rows: this host, same problem size, one core. Their peak
+  // and fraction of peak stay n/a until the host's peak is measured.
   snap::SnapParams params;
   params.twojmax = 8;
   params.rcut = 4.7;
-  snap::TestSnap ts(params, 2000, 26, 42);
-
-  const double t_base =
-      ts.grind_time(snap::TestSnapVariant::V0_Baseline, 2);
-  const double t_opt = ts.grind_time(snap::TestSnapVariant::V7_CachedCk, 2);
-  // Rough single-core FP64 peak of this host for context (4 FLOP/cycle
-  // SIMD estimate at ~2.5 GHz).
-  const double host_peak_tflops = 0.01;
-  const double speed_base = 1.0 / t_base / 1e3;
-  const double speed_opt = 1.0 / t_opt / 1e3;
-  table.add_row("ember baseline (this host, 1 core)", 2026, speed_base,
-                host_peak_tflops,
-                (speed_base / host_peak_tflops) / sandybridge_ratio);
-  table.add_row("ember optimized (this host, 1 core)", 2026, speed_opt,
-                host_peak_tflops,
-                (speed_opt / host_peak_tflops) / sandybridge_ratio);
+  for (const auto& b : bench::time_testsnap_bars(params, 2000, 26, 42, 2)) {
+    table.add_row("ember " + bench::bar_name(b) + ", this host, 1 core",
+                  2026, 1.0 / b.grind / 1e3, "n/a", "n/a");
+  }
   table.print();
 
   std::printf(

@@ -450,6 +450,22 @@ void Bispectrum::compute_dbidrj() {
   }
 }
 
+void Bispectrum::compute_deidrj_baseline(std::span<const Vec3> rij,
+                                         std::span<const double> beta,
+                                         std::span<Vec3> de) {
+  EMBER_REQUIRE(static_cast<int>(beta.size()) == num_b(),
+                "beta must have one entry per bispectrum component");
+  EMBER_REQUIRE(de.size() >= rij.size(),
+                "force span smaller than the atom's neighbor set");
+  for (std::size_t m = 0; m < rij.size(); ++m) {
+    compute_duidrj(rij[m], 1.0);
+    compute_dbidrj();
+    Vec3 sum;
+    for (int l = 0; l < num_b(); ++l) sum += beta[l] * dblist_[l];
+    de[m] = sum;
+  }
+}
+
 double Bispectrum::energy_from_yi(double beta0, std::span<const double> beta,
                                   int lane) const {
   EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");

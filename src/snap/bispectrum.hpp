@@ -8,7 +8,8 @@
 //
 //   baseline path (Listing 1):
 //     compute_ui -> compute_zi -> compute_bi          (energy/descriptors)
-//                 \-> per neighbor: compute_duidrj -> compute_dbidrj
+//                 \-> compute_deidrj_baseline: per neighbor
+//                     compute_duidrj -> compute_dbidrj -> sum beta dB
 //     Z storage is O(J^5); dB is O(J^5) work per neighbor.
 //
 //   adjoint path (Listing 5, the paper's §IV refactorization):
@@ -144,6 +145,14 @@ class Bispectrum {
   // Baseline force kernel: dB_l/dr_k for every canonical triple
   // (requires compute_zi and compute_duidrj).
   void compute_dbidrj();
+
+  // Baseline dE pass over every neighbor of the atom of the last
+  // compute_zi: de[k] = sum_l beta[l] dB_l/dr_k, each neighbor by
+  // compute_duidrj(rij[k], 1) and compute_dbidrj. beta.size() must equal
+  // num_b(). Allocates nothing beyond compute_duidrj's first-use sizing.
+  void compute_deidrj_baseline(std::span<const Vec3> rij,
+                               std::span<const double> beta,
+                               std::span<Vec3> de);
 
   // ---- results ----
   [[nodiscard]] std::span<const double> blist() const { return blist_; }

@@ -190,12 +190,6 @@ SnapModel SnapModel::load(const std::string& path) {
                     "must be 0 or ncoeff^2 = " + std::to_string(full));
       }
       read_block(is, n, m.alpha, path, key);
-    } else if (key == "kernel") {
-      // Files written while the adjoint kernel was selectable carry this
-      // key; there is one kernel now, so a known value is ignored.
-      if (v != "naive" && v != "symmetric" && v != "simd") {
-        model_error(path, key, "unknown kernel '" + v + "'");
-      }
     } else {
       model_error(path, key, "unknown key");
     }
@@ -351,15 +345,7 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
           // dB needs the full-range dU list (compute_dbidrj contracts
           // every Z element), so the baseline path runs its own full
           // recursion per neighbor.
-          for (int m = 0; m < nn; ++m) {
-            bi.compute_duidrj(rij[m], 1.0);
-            bi.compute_dbidrj();
-            Vec3 de;
-            for (int l = 0; l < bi.num_b(); ++l) {
-              de += sc.beta_eff[l] * bi.dblist()[l];
-            }
-            sc.de[m] = de;
-          }
+          bi.compute_deidrj_baseline(rij, sc.beta_eff, sc.de);
           s.flops += bi.flops_ui(nn) + bi.flops_zi() + bi.flops_bi() +
                      nn * (bi.flops_duidrj_full() + bi.flops_dbidrj());
         }

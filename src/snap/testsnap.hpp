@@ -1,32 +1,31 @@
 #pragma once
 
-// TestSNAP: the standalone kernel-optimization study.
+// TestSNAP: the grind-time harness behind Table I and Figs. 2-3.
 //
-// The companion paper (Gayatri et al., arXiv:2011.12875, summarized in the
-// deck and underpinning Table I / Figs. 2-3) built a proxy app to iterate
-// on the SNAP force kernel outside of full LAMMPS. This is the CPU
-// analogue: eight variants of the same force computation, each layering
-// one optimization of the paper's narrative onto the previous:
+// Gayatri et al. (arXiv:2011.12875) built the TestSNAP proxy app to
+// iterate on the SNAP force kernel outside LAMMPS, so that each
+// optimization found in the proxy lands in production. Here the proxy
+// drives the production code itself, on a synthetic workload: natoms
+// neighborhoods of nnbor random neighbors each and random linear
+// coefficients, from a fixed seed. It has two bars:
 //
-//   V0 Baseline    Listing-1 order; jagged per-j containers allocated
-//                  inside the atom loop; Z stored (O(J^5)); per-neighbor
-//                  dB (O(J^5) work each).
-//   V1 Staged      kernel decomposition (Listing 2): per-stage sweeps over
-//                  an atom batch with pre-allocated jagged storage.
-//   V2 Flattened   jagged arrays -> flat offset-indexed buffers.
-//   V3 Adjoint     the §IV refactorization: Y instead of Z/dB; O(J^3)
-//                  storage, O(J^3) per-neighbor force work.
-//   V4 Fused       dU recursion fused with the Y contraction (no dU
-//                  store; the paper's kernel-fusion step).
-//   V5 HalfMb      conjugation symmetry halves the U/dU column range in
-//                  the contraction ("symmetrized layouts").
-//   V6 SplitSoA    split re/im arrays in the hot recursion (the paper's
-//                  data-layout/AoSoA step, in its CPU form).
-//   V7 CachedCk    Cayley-Klein mapping cached per neighbor across the
-//                  accumulation and force passes (redundant-work removal).
+//   Baseline    Bispectrum's oracle stages, the sequence of
+//               SnapPotential::Path::Baseline (the paper's Listing 1):
+//               compute_ui -> compute_zi -> per neighbor dU and dB
+//               (compute_deidrj_baseline). O(J^5) Z storage and O(J^5)
+//               dB work per neighbor.
+//   Production  SnapPotential's linear atom-block sequence: compute_ui
+//               per atom lane, one compute_yi_block per block of
+//               lane-width atoms, compute_deidrj_all per atom. It holds
+//               the paper's V3 (adjoint Y and dE), V5 (half column
+//               range), V6 (split re/im planes, vector lanes) and V7
+//               (kept Cayley-Klein mappings); the V4 dU+dE fusion is its
+//               reverse sweep. The V1/V2 staging steps were not kept.
+//               It runs at the lane width simd::choose_isa() gives when
+//               the TestSnap is constructed.
 //
-// Every variant produces identical per-atom force sums (pinned by tests);
-// run() reports the grind time in the paper's figure of merit.
+// forces() holds each atom's sum over its neighbors of dE_i/dr_k. Both
+// bars agree to <= 1e-12 at every width (tests/snap/test_testsnap.cpp).
 
 #include <memory>
 #include <vector>
@@ -37,73 +36,58 @@
 
 namespace ember::snap {
 
-enum class TestSnapVariant {
-  V0_Baseline,
-  V1_Staged,
-  V2_Flattened,
-  V3_Adjoint,
-  V4_Fused,
-  V5_HalfMb,
-  V6_SplitSoA,
-  V7_CachedCk,
-};
+enum class TestSnapBar { Baseline, Production };
 
-inline constexpr TestSnapVariant kAllTestSnapVariants[] = {
-    TestSnapVariant::V0_Baseline, TestSnapVariant::V1_Staged,
-    TestSnapVariant::V2_Flattened, TestSnapVariant::V3_Adjoint,
-    TestSnapVariant::V4_Fused,     TestSnapVariant::V5_HalfMb,
-    TestSnapVariant::V6_SplitSoA,  TestSnapVariant::V7_CachedCk,
-};
-
-const char* to_string(TestSnapVariant v);
+const char* to_string(TestSnapBar bar);
 
 class TestSnap {
  public:
-  // Synthetic workload matching the companion paper's setup: natoms
-  // neighborhoods of nnbor random neighbors each, random coefficients.
   TestSnap(const SnapParams& params, int natoms, int nnbor,
            std::uint64_t seed = 2021);
 
-  [[nodiscard]] const SnapParams& params() const { return params_; }
-  [[nodiscard]] int natoms() const { return natoms_; }
-  [[nodiscard]] int nnbor() const { return nnbor_; }
+  // ISA of the Production bar, fixed at construction.
+  [[nodiscard]] simd::SimdIsa simd_isa() const {
+    return workers_.front().bi.simd_isa();
+  }
 
-  // Execute one full force computation with the given variant; returns
-  // elapsed seconds. Fills forces() with the per-atom sum of dE_i/dr_k.
-  // A threaded policy distributes the atom loop of V0 and V3-V7 over a
-  // persistent pool (per-thread scratch, bitwise-identical forces); the
-  // staged V1/V2 variants share batch buffers and always run serially.
-  double run(TestSnapVariant variant, ExecutionPolicy policy = {});
+  // Execute one full force computation of the given bar; returns elapsed
+  // seconds. Fills forces() with the per-atom sum of dE_i/dr_k. A
+  // threaded policy gives each pool worker one contiguous atom block and
+  // its own Bispectrum (built before the clock starts); an atom's result
+  // does not depend on its block, so forces are bitwise equal to serial.
+  double run(TestSnapBar bar, ExecutionPolicy policy = {});
 
   // Grind time [s / atom-step] over `repeats` runs (best of).
-  double grind_time(TestSnapVariant variant, int repeats = 3,
+  double grind_time(TestSnapBar bar, int repeats = 3,
                     ExecutionPolicy policy = {});
 
   [[nodiscard]] std::span<const Vec3> forces() const { return forces_; }
 
  private:
-  // Each run_* computes forces_[i] for i in [begin, end) with
-  // function-local scratch, so atom blocks thread trivially.
-  void run_baseline(int begin, int end);              // V0
-  void run_staged(bool flattened);                    // V1 / V2 (serial)
-  void run_adjoint(int begin, int end);               // V3
-  void run_fused(int level, int begin, int end);      // V4..V7 (0..3)
+  // One worker's kernel state: the engine and its per-neighbor dE.
+  struct Worker {
+    Bispectrum bi;
+    std::vector<Vec3> de;
+  };
 
-  SnapParams params_;
-  SnapIndex idx_;
+  // forces_[i] for i in [begin, end), on one worker's state.
+  void run_baseline(Worker& w, int begin, int end);
+  void run_production(Worker& w, int begin, int end);
+
+  [[nodiscard]] std::span<const Vec3> neighbors(int i) const {
+    return {rij_.data() + static_cast<std::size_t>(i) * nnbor_,
+            static_cast<std::size_t>(nnbor_)};
+  }
+
   int natoms_;
   int nnbor_;
-  std::vector<double> rootpq_;
   std::vector<double> beta_;
-  std::vector<Vec3> rij_;      // natoms x nnbor displacements
-  std::vector<Vec3> forces_;   // per-atom force sums
-
-  // scratch reused across runs (variants that pre-allocate)
-  std::vector<Cplx> flat_u_;
-  std::vector<Cplx> flat_z_;
-  std::vector<Cplx> flat_y_;
-
-  // worker pool for threaded runs (created on first non-serial policy)
+  std::vector<double> y_coeff_;  // beta[idxb] * beta_scale per triple
+  std::vector<Vec3> rij_;        // natoms x nnbor displacements
+  std::vector<Vec3> forces_;     // per-atom force sums
+  // workers_[0] runs serial sweeps; threaded runs add copies of it, so
+  // every worker keeps the ISA chosen at construction.
+  std::vector<Worker> workers_;
   std::unique_ptr<parallel::ThreadPool> pool_;
 };
 

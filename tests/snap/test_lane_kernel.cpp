@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <set>
 #include <string>
@@ -41,50 +40,10 @@
 #include "snap/simd/kernels.hpp"
 #include "snap/snap_potential.hpp"
 #include "snap/wigner.hpp"
+#include "simd_env.hpp"
 
 namespace ember::snap {
 namespace {
-
-// Scoped EMBER_SIMD override (the dispatcher reads the environment at
-// every Bispectrum construction).
-class ScopedSimdEnv {
- public:
-  explicit ScopedSimdEnv(const char* value) {
-    const char* old = std::getenv("EMBER_SIMD");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("EMBER_SIMD", value, 1);
-    } else {
-      ::unsetenv("EMBER_SIMD");
-    }
-  }
-  ~ScopedSimdEnv() {
-    if (had_old_) {
-      ::setenv("EMBER_SIMD", old_.c_str(), 1);
-    } else {
-      ::unsetenv("EMBER_SIMD");
-    }
-  }
-  ScopedSimdEnv(const ScopedSimdEnv&) = delete;
-  ScopedSimdEnv& operator=(const ScopedSimdEnv&) = delete;
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
-// Every ISA this host and binary can run, scalar first.
-std::vector<simd::SimdIsa> host_isas() {
-  std::vector<simd::SimdIsa> isas;
-  for (const auto isa : {simd::SimdIsa::Scalar, simd::SimdIsa::Avx2,
-                         simd::SimdIsa::Avx512}) {
-    if (static_cast<int>(isa) <= static_cast<int>(simd::max_supported_isa())) {
-      isas.push_back(isa);
-    }
-  }
-  return isas;
-}
 
 SnapParams base_params(int twojmax) {
   SnapParams p;

@@ -156,7 +156,7 @@ TEST(SnapModel, SaveLoadRoundTrip) {
   model.save(path);
   const SnapModel loaded = SnapModel::load(path);
   {
-    // save writes no kernel key (load ignores a legacy one).
+    // save writes no kernel key (load rejects one as an unknown key).
     std::ifstream is(path);
     const std::string text((std::istreambuf_iterator<char>(is)),
                            std::istreambuf_iterator<char>());
@@ -193,7 +193,7 @@ TEST(SnapModel, LoadRejectsMalformedFilesNamingPathAndKey) {
   };
   const Case cases[] = {
       {"valid", linear + "nquad 0\n", ""},
-      {"legacy kernel key", "kernel symmetric\n" + linear, ""},
+      {"legacy kernel key", "kernel symmetric\n" + linear, "kernel"},
       {"unknown kernel", "kernel quantum\n" + linear, "kernel"},
       {"huge ncoeff", head + "ncoeff 1000000000000\n", "ncoeff"},
       {"ncoeff vs twojmax", head + "ncoeff " + std::to_string(nb + 1) +

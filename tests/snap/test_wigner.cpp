@@ -16,6 +16,7 @@
 #include "snap/simd/dispatch.hpp"
 #include "snap/simd/kernels.hpp"
 #include "snap/wigner.hpp"
+#include "simd_env.hpp"
 
 namespace ember::snap {
 namespace {
@@ -181,18 +182,6 @@ TEST(MapToSphere, DerivativesMatchFiniteDifferences) {
       EXPECT_NEAR(ck.dfc[d], (ckp.fc - ckm.fc) / (2 * h), 1e-6);
     }
   }
-}
-
-// Every ISA this host and binary can run.
-std::vector<simd::SimdIsa> host_isas() {
-  std::vector<simd::SimdIsa> isas;
-  for (const auto isa : {simd::SimdIsa::Scalar, simd::SimdIsa::Avx2,
-                         simd::SimdIsa::Avx512}) {
-    if (static_cast<int>(isa) <= static_cast<int>(simd::max_supported_isa())) {
-      isas.push_back(isa);
-    }
-  }
-  return isas;
 }
 
 // map_block's slot s of lane l, against the same field of map_to_sphere.
