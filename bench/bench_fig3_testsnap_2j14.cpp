@@ -4,8 +4,9 @@
 // O(J^5) Z storage and O(J^7) coupling sweep dominate — the regime whose
 // memory footprint forced the adjoint refactorization in the paper
 // ("there is no trivial solution to the out-of-memory error for 2J14").
-// Atom count is reduced to keep single-core wall time sane; the grind
-// time metric is per-atom so the comparison is unaffected.
+// Atom count is reduced to keep single-core wall time sane (200, whole
+// blocks at every lane width); the grind time metric is per-atom so the
+// comparison is unaffected.
 
 #include <cstdio>
 
@@ -24,10 +25,10 @@ int main() {
       "== TestSNAP Fig. 3: progress relative to baseline, 2J = 14 ==\n"
       "%d bispectrum components; Z storage per atom = %d complex values\n"
       "(vs %d for Y under the adjoint refactorization).\n"
-      "150 atoms, 26 neighbors (grind time is per atom).\n\n",
+      "200 atoms, 26 neighbors (grind time is per atom).\n\n",
       idx.num_b(), idx.z_total(), idx.u_total());
 
-  const auto bars = bench::time_testsnap_bars(p, 150, 26, 2021, 2);
+  const auto bars = bench::time_testsnap_bars(p, 200, 26, 2021, 2);
   TextTable table({"Bar", "Grind time (us/atom)", "Speedup vs Baseline"});
   for (const auto& b : bars) {
     table.add_row(bench::bar_name(b), 1e6 * b.grind,

@@ -63,9 +63,7 @@ void BM_ComputeYi(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
   Bispectrum bi(w.params);
   std::vector<double> coeffs;
-  for (const auto& t : bi.index().z_triples()) {
-    coeffs.push_back(w.beta[t.idxb] * t.beta_scale);
-  }
+  bi.index().fold_beta(w.beta, coeffs);
   for (int lane = 0; lane < bi.lane_width(); ++lane) {
     bi.compute_ui(w.rij, {}, lane);
   }

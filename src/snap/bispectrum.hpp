@@ -114,7 +114,7 @@ class Bispectrum {
   void compute_yi(std::span<const double> beta);
 
   // Same accumulation from precomputed per-triple coefficients
-  // coeffs[t] = beta[t.idxb] * t.beta_scale (coeffs.size() must equal
+  // SnapIndex::fold_beta(beta) (coeffs.size() must equal
   // z_triples().size()). Lets linear models hoist the coefficient fold
   // out of the per-atom loop entirely.
   void compute_yi_coeffs(std::span<const double> coeffs);
@@ -182,8 +182,8 @@ class Bispectrum {
 
   // ---- analytic FLOP estimates (double-precision mul+add counted as 2) --
   // The adjoint counts follow the lane kernel: the halved column range,
-  // the Y work-list terms and the dE pass (replayed U recursion plus the
-  // reverse sweep).
+  // the Y work-list products, coefficients and outputs, and the dE pass
+  // (replayed U recursion plus the reverse sweep).
   // Padded lanes are not counted. The atom-independent counts are fixed
   // at construction, so every call is O(1).
   [[nodiscard]] double flops_ui(int nnbor) const;

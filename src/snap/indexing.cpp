@@ -22,31 +22,127 @@ void append_cg_block(int j1, int j2, int j, std::vector<double>& out) {
   }
 }
 
-// The kept terms of Y output (t; ma, mb), in list order, as
-// f(u1, u2, c): the coupling range of ma1 and, per row, of mb1, less the
-// j1 = j2 mirror terms (merged, see YOutput) and zero coefficients. cg
-// points at the triple's Clebsch-Gordan block; u_block at the full-range
-// U block offsets.
+// One group of the Y work list while it is walked (see YGroup): its
+// outputs, its packed products and their coefficients, K per product.
+struct YGroupDraft {
+  std::vector<YOutput> outputs;
+  std::vector<std::uint32_t> products;
+  std::vector<double> coeffs;
+};
+
+// Walks the Y work list of `twojmax` group by group, in list order, and
+// calls f(const YGroupDraft&) for each. Only the Clebsch-Gordan blocks of
+// one (j1, j2) pair are held at a time. Triples are numbered as the
+// SnapIndex constructor numbers them: j1, then j2 <= j1, then j ascending.
 template <class F>
-void for_each_y_term(const ZTriple& t, int ma, int mb, const double* cg,
-                     const int* u_block, F f) {
-  const int s = (t.j1 + t.j2 - t.j) / 2;
-  const bool mirror = t.j1 == t.j2;
-  for (int ma1 = std::max(0, ma + s - t.j2); ma1 <= std::min(t.j1, ma + s);
-       ++ma1) {
-    const int ma2 = ma + s - ma1;
-    for (int mb1 = std::max(0, mb + s - t.j2); mb1 <= std::min(t.j1, mb + s);
-         ++mb1) {
-      const int mb2 = mb + s - mb1;
-      // For j1 = j2, u1 > u2 is (ma1, mb1) after (ma2, mb2).
-      const int u1 = u_block[t.j1] + ma1 * (t.j1 + 1) + mb1;
-      const int u2 = u_block[t.j2] + ma2 * (t.j2 + 1) + mb2;
-      if (mirror && u1 > u2) continue;
-      const double mult = mirror && u1 != u2 ? 2.0 : 1.0;
-      const double c = mult * cg[ma1 * (t.j2 + 1) + ma2] *
-                       cg[mb1 * (t.j2 + 1) + mb2];
-      if (c == 0.0) continue;
-      f(u1, u2, c);
+void for_each_y_group(int twojmax, F f) {
+  std::vector<int> u_block(twojmax + 1);
+  std::vector<int> u_half_block(twojmax + 1);
+  for (int j = 1; j <= twojmax; ++j) {
+    u_block[j] = u_block[j - 1] + j * j;
+    u_half_block[j] = u_half_block[j - 1] + j * ((j - 1) / 2 + 1);
+  }
+  std::vector<std::vector<double>> cg;  // per coupled j of the pair
+  struct Live {
+    const double* cg = nullptr;  // the triple's CG block
+    YOutput out;
+  };
+  std::vector<Live> live;
+  std::vector<std::uint32_t> prod;  // every product of an (A, B) range
+  std::vector<double> c;            // per product, one per live output
+  std::vector<int> keep;            // live outputs with a non-zero c
+  YGroupDraft g;
+  int triple0 = 0;
+  for (int j1 = 0; j1 <= twojmax; ++j1) {
+    for (int j2 = 0; j2 <= j1; ++j2) {
+      const int jlo = j1 - j2;
+      const int jhi = std::min(twojmax, j1 + j2);
+      const int nj = (jhi - jlo) / 2 + 1;
+      cg.resize(nj);
+      for (int k = 0; k < nj; ++k) {
+        cg[k].clear();
+        append_cg_block(j1, j2, jlo + 2 * k, cg[k]);
+      }
+      const bool mirror = j1 == j2;
+      for (int A = 0; A <= j1 + j2; ++A) {
+        for (int B = 0; B <= j1 + j2; ++B) {
+          // The coupled j whose element (j; A - s, B - s) is live.
+          live.clear();
+          for (int k = 0; k < nj; ++k) {
+            const int j = jlo + 2 * k;
+            const int s = (j1 + j2 - j) / 2;
+            const int ma = A - s;
+            const int mb = B - s;
+            if (ma < 0 || ma > j || mb < 0 || 2 * mb > j) continue;
+            if (half_weight(j, ma, mb) == 0.0) continue;
+            live.push_back({cg[k].data(),
+                            {u_half_block[j] + ma * (j / 2 + 1) + mb,
+                             triple0 + k}});
+          }
+          if (live.empty()) continue;
+          const int nl = static_cast<int>(live.size());
+          // Every product of the (A, B) coupling range, with one
+          // coefficient per live output; the range does not depend on j.
+          prod.clear();
+          c.clear();
+          for (int ma1 = std::max(0, A - j2); ma1 <= std::min(j1, A); ++ma1) {
+            const int ma2 = A - ma1;
+            for (int mb1 = std::max(0, B - j2); mb1 <= std::min(j1, B);
+                 ++mb1) {
+              const int mb2 = B - mb1;
+              // For j1 = j2, u1 > u2 is (ma1, mb1) after (ma2, mb2).
+              const int u1 = u_block[j1] + ma1 * (j1 + 1) + mb1;
+              const int u2 = u_block[j2] + ma2 * (j2 + 1) + mb2;
+              if (mirror && u1 > u2) continue;
+              const double mult = mirror && u1 != u2 ? 2.0 : 1.0;
+              prod.push_back(static_cast<std::uint32_t>(u1) |
+                             static_cast<std::uint32_t>(u2) << 16);
+              for (const Live& l : live) {
+                c.push_back(mult * l.cg[ma1 * (j2 + 1) + ma2] *
+                            l.cg[mb1 * (j2 + 1) + mb2]);
+              }
+            }
+          }
+          const int np = static_cast<int>(prod.size());
+          // Drop outputs whose coefficients are all zero, then emit the
+          // rest kMaxYGroupOutputs at a time with the products that feed
+          // them.
+          keep.clear();
+          for (int k = 0; k < nl; ++k) {
+            for (int p = 0; p < np; ++p) {
+              if (c[static_cast<std::size_t>(p) * nl + k] != 0.0) {
+                keep.push_back(k);
+                break;
+              }
+            }
+          }
+          for (std::size_t k0 = 0; k0 < keep.size();
+               k0 += kMaxYGroupOutputs) {
+            const std::size_t k1 =
+                std::min(keep.size(), k0 + kMaxYGroupOutputs);
+            g.outputs.clear();
+            g.products.clear();
+            g.coeffs.clear();
+            for (std::size_t k = k0; k < k1; ++k) {
+              g.outputs.push_back(live[keep[k]].out);
+            }
+            for (int p = 0; p < np; ++p) {
+              const double* cp = c.data() + static_cast<std::size_t>(p) * nl;
+              bool any = false;
+              for (std::size_t k = k0; k < k1; ++k) {
+                any = any || cp[keep[k]] != 0.0;
+              }
+              if (!any) continue;
+              g.products.push_back(prod[p]);
+              for (std::size_t k = k0; k < k1; ++k) {
+                g.coeffs.push_back(cp[keep[k]]);
+              }
+            }
+            f(g);
+          }
+        }
+      }
+      triple0 += nj;
     }
   }
 }
@@ -144,67 +240,41 @@ SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
     append_cg_block(t.j1, t.j2, t.j, cg_);
   }
 
-  // Y work list over the half column range 2*mb <= j, in element order
-  // (j, ma, mb) with triples ascending per element. Zero-weight elements
-  // get no terms.
-  for (int j = 0; j <= twojmax; ++j) {
-    for (int ma = 0; ma <= j; ++ma) {
-      for (int mb = 0; 2 * mb <= j; ++mb) {
-        const bool live = half_weight(j, ma, mb) != 0.0;
-        for (int ti = 0; ti < static_cast<int>(z_.size()); ++ti) {
-          const ZTriple& t = z_[ti];
-          if (t.j != j) continue;
-          YOutput o{u_half_index(j, ma, mb), ti,
-                    static_cast<int>(y_term_c_.size()), 0};
-          if (live) {
-            for_each_y_term(t, ma, mb, cg_.data() + t.idxcg, u_block_.data(),
-                            [this](int u1, int u2, double c) {
-                              y_term_u_.push_back(
-                                  static_cast<std::uint32_t>(u1) |
-                                  static_cast<std::uint32_t>(u2) << 16);
-                              y_term_c_.push_back(c);
-                            });
-          }
-          o.term_end = static_cast<int>(y_term_c_.size());
-          y_out_.push_back(o);
-        }
-      }
-    }
-  }
+  // Y work list, one (j1, j2, A, B) group at a time.
+  for_each_y_group(twojmax, [this](const YGroupDraft& d) {
+    YGroup g;
+    g.product_begin = static_cast<int>(y_prod_.size());
+    g.product_end = g.product_begin + static_cast<int>(d.products.size());
+    g.output_begin = static_cast<int>(y_out_.size());
+    g.output_end = g.output_begin + static_cast<int>(d.outputs.size());
+    g.coeff_begin = static_cast<int>(y_coeff_.size());
+    y_groups_.push_back(g);
+    y_out_.insert(y_out_.end(), d.outputs.begin(), d.outputs.end());
+    y_prod_.insert(y_prod_.end(), d.products.begin(), d.products.end());
+    y_coeff_.insert(y_coeff_.end(), d.coeffs.begin(), d.coeffs.end());
+  });
 }
 
 std::size_t SnapIndex::y_list_bytes(int twojmax) {
   EMBER_REQUIRE(twojmax >= 0 && twojmax <= kMaxTwojmax,
                 "twojmax out of supported range");
-  std::vector<int> u_block(twojmax + 1);
-  for (int j = 1; j <= twojmax; ++j) u_block[j] = u_block[j - 1] + j * j;
-  // Same outputs and terms as the constructor's sweep, triple by triple;
-  // only one triple's Clebsch-Gordan block is held at a time.
-  std::size_t outputs = 0;
-  std::size_t terms = 0;
-  std::vector<double> cg;
-  for (int j1 = 0; j1 <= twojmax; ++j1) {
-    for (int j2 = 0; j2 <= j1; ++j2) {
-      for (int j = j1 - j2; j <= std::min(twojmax, j1 + j2); j += 2) {
-        ZTriple t;
-        t.j1 = j1;
-        t.j2 = j2;
-        t.j = j;
-        cg.clear();
-        append_cg_block(j1, j2, j, cg);
-        for (int ma = 0; ma <= j; ++ma) {
-          for (int mb = 0; 2 * mb <= j; ++mb) {
-            ++outputs;
-            if (half_weight(j, ma, mb) == 0.0) continue;
-            for_each_y_term(t, ma, mb, cg.data(), u_block.data(),
-                            [&terms](int, int, double) { ++terms; });
-          }
-        }
-      }
-    }
+  std::size_t bytes = 0;
+  for_each_y_group(twojmax, [&bytes](const YGroupDraft& d) {
+    bytes += sizeof(YGroup) + d.outputs.size() * sizeof(YOutput) +
+             d.products.size() * sizeof(std::uint32_t) +
+             d.coeffs.size() * sizeof(double);
+  });
+  return bytes;
+}
+
+void SnapIndex::fold_beta(std::span<const double> beta,
+                          std::vector<double>& out) const {
+  EMBER_REQUIRE(static_cast<int>(beta.size()) == num_b(),
+                "beta size must equal the number of bispectrum components");
+  out.resize(z_.size());
+  for (std::size_t t = 0; t < z_.size(); ++t) {
+    out[t] = beta[z_[t].idxb] * z_[t].beta_scale;
   }
-  return outputs * sizeof(YOutput) +
-         terms * (sizeof(std::uint32_t) + sizeof(double));
 }
 
 int SnapIndex::count_b(int twojmax) {

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -48,28 +49,43 @@ constexpr double half_weight(int j, int ma, int mb) {
   return 0.0;
 }
 
-// Adjoint Y work list (SnapIndex::y_outputs / y_term_u / y_term_c).
-// Every atom runs the same sweep, so it is flattened once, with the
-// coupling bounds baked in and every vanishing term dropped.
+// Adjoint Y work list (SnapIndex::y_groups / y_outputs / y_products /
+// y_coeffs). Every atom runs the same sweep, so it is built once, with
+// the coupling bounds baked in and every vanishing term dropped.
 //
-// One YOutput per (coupling triple, half-range element (ma, mb) of its
-// product block, 2*mb <= j):
-//     Y[e] += coeff[triple] * sum_{k in [term_begin, term_end)}
-//                 c[k] * U[u1_k] * U[u2_k]
-// over the full-range Utot. A term folds both CG factors into
+// A term of Z^j_{j1 j2}(ma, mb) multiplies U_j1(ma1, mb1) U_j2(ma2, mb2)
+// with ma1 + ma2 = ma + s, mb1 + mb2 = mb + s, s = (j1 + j2 - j) / 2, so
+// the product depends on (j1, j2, A = ma + s, B = mb + s) but not on j.
+// One YGroup per (j1, j2, A, B) holds the distinct products (u1, u2) of
+// those terms and its outputs, one YOutput per coupled j whose
+// half-range element (j; A - s, B - s), 2*mb <= j, is live; per product
+// one coefficient per output,
 //     c = mult * cg(t, ma1, ma2) * cg(t, mb1, mb2),
-// (ma1 + ma2 = ma + s, mb1 + mb2 = mb + s). For j1 = j2 the terms of rows
-// ma1 > ma2, and of columns mb1 > mb2 within a row ma1 = ma2, repeat the
-// product of their mirror term (u1 and u2 swapped) with the same
-// coefficient (the two CG swap signs cancel); they are merged into it
-// with mult = 2. Elements whose half_weight is 0 get no terms, and
-// terms whose coefficient is an exact zero are dropped.
+// and the sweep adds, per output k of the group,
+//     Y[e_k] += coeff[triple_k] * sum_products c[p][k] * U[u1_p] * U[u2_p]
+// over the full-range Utot. For j1 = j2 the product (u1, u2) and its
+// mirror (u2, u1) are equal and carry the same coefficient (the two CG
+// swap signs cancel); the one with u1 > u2 is merged into the other with
+// mult = 2. Elements whose half_weight is 0 get no outputs, outputs whose
+// coefficients are all exact zeros are dropped, and so are products
+// whose coefficients are. A group couples at most kMaxYGroupOutputs
+// values of j; a (j1, j2, A, B) with more is split into several groups.
+struct YGroup {
+  int product_begin = 0;  // products [product_begin, product_end)
+  int product_end = 0;
+  int output_begin = 0;   // outputs [output_begin, output_end)
+  int output_end = 0;
+  int coeff_begin = 0;    // (output_end - output_begin) per product,
+                          //   product-major
+};
 struct YOutput {
   int e = 0;       // half-range element u_half_index(j, ma, mb)
   int triple = 0;  // index into z_triples()
-  int term_begin = 0;
-  int term_end = 0;
 };
+// Upper bound on a group's outputs: the sweep keeps one register
+// accumulator pair per output. 2J <= 14 couples at most 8 j per (j1, j2).
+inline constexpr int kMaxYGroupOutputs = 8;
+
 struct BTriple {
   int j1 = 0;
   int j2 = 0;
@@ -80,10 +96,11 @@ struct BTriple {
 inline constexpr int kMaxTwojmax = 24;
 // Largest Y work list (SnapIndex::y_list_bytes) a SNAP model file may ask
 // for; SnapModel::load rejects a twojmax above it. The list grows as
-// O(J^7): 0.4 MB at 2J=8, 11.6 MB at 2J=14, 370 MB at 2J=24. Every
-// process that runs a model builds its list once, before the first step.
+// O(J^7): 0.36 MB at 2J=8, 9.1 MB at 2J=14, 61 MB at 2J=19 (the largest
+// that loads), 85 MB at 2J=20, 276 MB at 2J=24. Every process that runs
+// a model builds its list once, before the first step.
 inline constexpr std::size_t kMaxYListBytes = std::size_t{64} << 20;
-// A packed Y term holds two full-range U indices (u_total = sum of
+// A packed Y product holds two full-range U indices (u_total = sum of
 // (j+1)^2) in 16 bits each.
 static_assert((kMaxTwojmax + 1) * (kMaxTwojmax + 2) * (2 * kMaxTwojmax + 3) /
                   6 <= (1 << 16));
@@ -149,22 +166,34 @@ class SnapIndex {
   }
 
   // ---- adjoint Y work list ----
-  // Outputs grouped by element e (ascending), triples ascending within a
-  // group, so a sweep finishes each Y element in registers; each output's
-  // terms are contiguous. Term k packs u1 | u2 << 16 in y_term_u()[k] and
-  // its coefficient in y_term_c()[k]. At 2J=8: 2386 outputs, 30 298 terms.
+  // Groups ascend in (j1, j2, A, B); each group's products, outputs and
+  // coefficients are contiguous and in group order. Product p packs
+  // u1 | u2 << 16 in y_products()[p]; its coefficient for output k of
+  // group g is y_coeffs()[g.coeff_begin + (p - g.product_begin) * K + k],
+  // K = g.output_end - g.output_begin. At 2J=8: 1285 groups, 2221
+  // outputs, 14 543 products and 31 804 coefficients (the flat list of
+  // one output per (triple, element) ran 30 298 terms).
+  [[nodiscard]] const std::vector<YGroup>& y_groups() const {
+    return y_groups_;
+  }
   [[nodiscard]] const std::vector<YOutput>& y_outputs() const {
     return y_out_;
   }
-  [[nodiscard]] const std::vector<std::uint32_t>& y_term_u() const {
-    return y_term_u_;
+  [[nodiscard]] const std::vector<std::uint32_t>& y_products() const {
+    return y_prod_;
   }
-  [[nodiscard]] const std::vector<double>& y_term_c() const {
-    return y_term_c_;
+  [[nodiscard]] const std::vector<double>& y_coeffs() const {
+    return y_coeff_;
   }
-  // Bytes of the work list of SnapIndex(twojmax), outputs plus terms,
-  // counted without building the index or allocating the list.
+  // Bytes of the work list of SnapIndex(twojmax), groups, outputs,
+  // products and coefficients, counted without building the index or
+  // allocating the list.
   [[nodiscard]] static std::size_t y_list_bytes(int twojmax);
+
+  // The per-triple Y coefficients of a linear model, out[t] =
+  // beta[z_triples()[t].idxb] * z_triples()[t].beta_scale (beta.size()
+  // must equal num_b()); out is resized to z_triples().size().
+  void fold_beta(std::span<const double> beta, std::vector<double>& out) const;
 
  private:
   int twojmax_;
@@ -179,9 +208,10 @@ class SnapIndex {
   std::vector<int> z_block_;  // dense [j1][j2][j] lookup (j1 >= j2)
   int z_total_ = 0;
   std::vector<double> cg_;
+  std::vector<YGroup> y_groups_;
   std::vector<YOutput> y_out_;
-  std::vector<std::uint32_t> y_term_u_;
-  std::vector<double> y_term_c_;
+  std::vector<std::uint32_t> y_prod_;
+  std::vector<double> y_coeff_;
 };
 
 }  // namespace ember::snap

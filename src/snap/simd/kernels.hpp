@@ -90,11 +90,13 @@ struct UiBlockArgs {
   double* acc_im = nullptr;         //   (nullptr: recursion only)
 };
 
-// Adjoint Y sweep for one block of atoms, one atom per lane. The flat
-// work list of SnapIndex (y_outputs, y_term_u / y_term_c) accumulates
-//   Y[e] = half_weight[e] * sum_outputs coeff[triple] * sum_terms term
-// from the full-range Utot into the half-range Y planes (see YOutput for
-// one term). Every half element is written; zero-weight ones get 0.
+// Adjoint Y sweep for one block of atoms, one atom per lane. The grouped
+// work list of SnapIndex (y_groups, see YGroup) forms each product
+// U[u1] * U[u2] of a group once and accumulates it into every output of
+// the group, then
+//   Y[e] = half_weight[e] * sum_outputs(e) coeff[triple] * acc
+// from the full-range Utot into the half-range Y planes. Every half
+// element is written; zero-weight ones get 0.
 struct YiBlockArgs {
   const SnapIndex* index = nullptr; // work list, half weights
   int stride = 0;                   // element e of lane l at e * stride + l

@@ -64,7 +64,10 @@
 // This header contains no intrinsics (ember_lint simd-intrinsics-include
 // confines those to the kernels_avx*.cpp TUs).
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "snap/simd/kernels.hpp"
 
@@ -398,56 +401,83 @@ void dei_block_impl(const DeiBlockArgs& g) {
   }
 }
 
-template <class V>
-void yi_block_impl(const YiBlockArgs& g) {
+// One work-list group with K outputs: each product U[u1] * U[u2] is
+// formed once and added into K register accumulator pairs, and at the end
+// of the group every output adds coeff[triple] * acc into its Y element.
+// K is a template argument so the accumulator loops unroll completely and
+// the accumulators stay in registers.
+template <class V, int K>
+void y_group(const YiBlockArgs& g, const YGroup& gr) {
   const SnapIndex& idx = *g.index;
   const int st = g.stride;
-
-  // Work-list sweep, one Y element at a time. Bounds, CG factors and
-  // vanishing terms were resolved when the list was built, so the loops
-  // carry no branches; every U load is one aligned vector of `width`
-  // atoms and every coefficient a broadcast. Alternate terms go to two
-  // accumulator pairs to hide the FMA latency.
-  const std::vector<YOutput>& outs = idx.y_outputs();
-  const std::uint32_t* tu = idx.y_term_u().data();
-  const double* tc = idx.y_term_c().data();
-  const auto term = [&](int k, V& sr, V& si) {
-    // s += c[k] * (U[u1] * U[u2])
-    const int u1 = static_cast<int>(tu[k] & 0xffffu) * st;
-    const int u2 = static_cast<int>(tu[k] >> 16) * st;
-    const V ck = V::broadcast(tc[k]);
+  const std::uint32_t* pu = idx.y_products().data();
+  const double* c = idx.y_coeffs().data() + gr.coeff_begin;
+  V ar[K];
+  V ai[K];
+#pragma GCC unroll 8
+  for (int k = 0; k < K; ++k) {
+    ar[k] = V::zero();
+    ai[k] = V::zero();
+  }
+  for (int p = gr.product_begin; p < gr.product_end; ++p, c += K) {
+    const int u1 = static_cast<int>(pu[p] & 0xffffu) * st;
+    const int u2 = static_cast<int>(pu[p] >> 16) * st;
     const V a_re = V::load(g.uf_re + u1);
     const V a_im = V::load(g.uf_im + u1);
     const V b_re = V::load(g.uf_re + u2);
     const V b_im = V::load(g.uf_im + u2);
-    sr = V::fma(ck, V::fmsub(a_re, b_re, a_im * b_im), sr);
-    si = V::fma(ck, V::fma(a_re, b_im, a_im * b_re), si);
-  };
-  for (std::size_t o = 0; o < outs.size();) {
-    const int e = outs[o].e;
-    V yr = V::zero();
-    V yi = V::zero();
-    for (; o < outs.size() && outs[o].e == e; ++o) {
-      const YOutput& out = outs[o];
-      V sr0 = V::zero();
-      V si0 = V::zero();
-      V sr1 = V::zero();
-      V si1 = V::zero();
-      int k = out.term_begin;
-      for (; k + 1 < out.term_end; k += 2) {
-        term(k, sr0, si0);
-        term(k + 1, sr1, si1);
-      }
-      if (k < out.term_end) term(k, sr0, si0);
-      const V coeff = V::broadcast(g.coeff[out.triple]);
-      yr = V::fma(coeff, sr0 + sr1, yr);
-      yi = V::fma(coeff, si0 + si1, yi);
+    const V pr = V::fmsub(a_re, b_re, a_im * b_im);
+    const V pi = V::fma(a_re, b_im, a_im * b_re);
+#pragma GCC unroll 8
+    for (int k = 0; k < K; ++k) {
+      const V ck = V::broadcast(c[k]);
+      ar[k] = V::fma(ck, pr, ar[k]);
+      ai[k] = V::fma(ck, pi, ai[k]);
     }
-    // Fold the contraction weight in, so the energy and force
-    // contractions are plain dot products over the half range.
-    const V hw = V::broadcast(idx.half_weights()[e]);
-    (hw * yr).store_to(g.y_re + e * st);
-    (hw * yi).store_to(g.y_im + e * st);
+  }
+  const YOutput* out = idx.y_outputs().data() + gr.output_begin;
+#pragma GCC unroll 8
+  for (int k = 0; k < K; ++k) {
+    const V coeff = V::broadcast(g.coeff[out[k].triple]);
+    double* yr = g.y_re + out[k].e * st;
+    double* yi = g.y_im + out[k].e * st;
+    V::fma(coeff, ar[k], V::load(yr)).store_to(yr);
+    V::fma(coeff, ai[k], V::load(yi)).store_to(yi);
+  }
+}
+
+template <class V, int... K>
+constexpr auto y_group_table(std::integer_sequence<int, K...>) {
+  return std::array{&y_group<V, K + 1>...};
+}
+
+template <class V>
+void yi_block_impl(const YiBlockArgs& g) {
+  const SnapIndex& idx = *g.index;
+  const int st = g.stride;
+  const int nh = idx.u_half_total();
+
+  // Work-list sweep, one group at a time, into Y planes that start at
+  // zero. Bounds, CG factors and vanishing terms were resolved when the
+  // list was built, so the loops carry no branches; every U load is one
+  // aligned vector of `width` atoms and every coefficient a broadcast.
+  for (int e = 0; e < nh; ++e) {
+    V::zero().store_to(g.y_re + e * st);
+    V::zero().store_to(g.y_im + e * st);
+  }
+  static constexpr auto kGroup = y_group_table<V>(
+      std::make_integer_sequence<int, kMaxYGroupOutputs>{});
+  for (const YGroup& gr : idx.y_groups()) {
+    kGroup[gr.output_end - gr.output_begin - 1](g, gr);
+  }
+  // Fold the contraction weight in, so the energy and force contractions
+  // are plain dot products over the half range; zero-weight elements,
+  // which no group writes, stay 0.
+  const double* hw = idx.half_weights().data();
+  for (int e = 0; e < nh; ++e) {
+    const V w = V::broadcast(hw[e]);
+    (w * V::load(g.y_re + e * st)).store_to(g.y_re + e * st);
+    (w * V::load(g.y_im + e * st)).store_to(g.y_im + e * st);
   }
 }
 

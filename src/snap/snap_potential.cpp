@@ -217,13 +217,7 @@ SnapPotential::SnapPotential(SnapModel model, Path path)
                     model_.alpha.size() ==
                         model_.beta.size() * model_.beta.size(),
                 "quadratic coefficient block must be num_b x num_b");
-  if (!model_.quadratic()) {
-    const auto& triples = main_.bi.index().z_triples();
-    y_coeff_.resize(triples.size());
-    for (std::size_t t = 0; t < triples.size(); ++t) {
-      y_coeff_[t] = model_.beta[triples[t].idxb] * triples[t].beta_scale;
-    }
-  }
+  if (!model_.quadratic()) main_.bi.index().fold_beta(model_.beta, y_coeff_);
 
   // The lane width the dispatcher picked is runtime state; a gauge
   // exposes it for roofline math.

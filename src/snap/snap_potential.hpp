@@ -90,7 +90,7 @@ class SnapPotential final : public md::PairPotential {
   Path path_;
   Scratch main_;
   double last_flops_ = 0.0;
-  // Linear models: per-triple adjoint coefficients beta[idxb] * beta_scale,
+  // Linear models: per-triple adjoint coefficients (SnapIndex::fold_beta),
   // folded once at construction so the per-atom loop skips the fold (the
   // quadratic path cannot hoist it — beta_eff depends on the atom's B).
   std::vector<double> y_coeff_;

@@ -27,11 +27,7 @@ TestSnap::TestSnap(const SnapParams& params, int natoms, int nnbor,
   Rng rng(seed);
   beta_.resize(idx.num_b());
   for (auto& b : beta_) b = rng.uniform(-1.0, 1.0);
-  const auto& triples = idx.z_triples();
-  y_coeff_.resize(triples.size());
-  for (std::size_t t = 0; t < triples.size(); ++t) {
-    y_coeff_[t] = beta_[triples[t].idxb] * triples[t].beta_scale;
-  }
+  idx.fold_beta(beta_, y_coeff_);
 
   rij_.reserve(static_cast<std::size_t>(natoms) * nnbor);
   while (rij_.size() < static_cast<std::size_t>(natoms) * nnbor) {
@@ -72,8 +68,14 @@ double TestSnap::run(TestSnapBar bar, ExecutionPolicy policy) {
 
 double TestSnap::grind_time(TestSnapBar bar, int repeats,
                             ExecutionPolicy policy) {
+  constexpr double kMinSeconds = 1.0;
   double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < repeats; ++r) best = std::min(best, run(bar, policy));
+  double spent = 0.0;
+  for (int r = 0; r < repeats || spent < kMinSeconds; ++r) {
+    const double t = run(bar, policy);
+    best = std::min(best, t);
+    spent += t;
+  }
   return best / static_cast<double>(natoms_);
 }
 

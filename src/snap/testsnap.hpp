@@ -57,7 +57,11 @@ class TestSnap {
   // does not depend on its block, so forces are bitwise equal to serial.
   double run(TestSnapBar bar, ExecutionPolicy policy = {});
 
-  // Grind time [s / atom-step] over `repeats` runs (best of).
+  // Grind time [s / atom-step]: the best of at least `repeats` runs, and
+  // of as many more as fit in one second of running the bar. A Production
+  // bar can take tens of milliseconds; with best of 2, back-to-back
+  // timings of Fig. 3's width-8 bar on a shared 4-core host spread by up
+  // to a third.
   double grind_time(TestSnapBar bar, int repeats = 3,
                     ExecutionPolicy policy = {});
 
@@ -82,7 +86,7 @@ class TestSnap {
   int natoms_;
   int nnbor_;
   std::vector<double> beta_;
-  std::vector<double> y_coeff_;  // beta[idxb] * beta_scale per triple
+  std::vector<double> y_coeff_;  // SnapIndex::fold_beta(beta_)
   std::vector<Vec3> rij_;        // natoms x nnbor displacements
   std::vector<Vec3> forces_;     // per-atom force sums
   // workers_[0] runs serial sweeps; threaded runs add copies of it, so

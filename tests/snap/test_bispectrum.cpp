@@ -249,10 +249,12 @@ TEST(Bispectrum, FlopCountsAreCachedFromTheYWorkList) {
     p.twojmax = tj;
     const Bispectrum bi(p);
     const SnapIndex& idx = bi.index();
-    // yi executes 10 flops per work-list term, 4 per output and 2 per
+    // yi executes a complex product (6) per work-list product, two FMAs
+    // (4) per coefficient, two FMAs (4) per group output into Y and 2 per
     // half element for the weight fold.
     EXPECT_EQ(bi.flops_yi(),
-              10.0 * static_cast<double>(idx.y_term_c().size()) +
+              6.0 * static_cast<double>(idx.y_products().size()) +
+                  4.0 * static_cast<double>(idx.y_coeffs().size()) +
                   4.0 * static_cast<double>(idx.y_outputs().size()) +
                   2.0 * idx.u_half_total());
     double bi_flops = 0.0;

@@ -1,6 +1,6 @@
 // Tests for the SNAP index tables: block offsets, component counts, the
 // canonical-triple bookkeeping used by the adjoint accumulation, and the
-// flat Y work list the atom-lane sweep runs.
+// grouped Y work list the atom-lane sweep runs.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <set>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "snap/factorial.hpp"
 #include "snap/indexing.hpp"
@@ -40,9 +41,10 @@ TEST(SnapIndex, YListBytesCountsTheBuiltList) {
   for (const int twojmax : {0, 1, 2, 5, 8, 11, 14}) {
     const SnapIndex idx(twojmax);
     EXPECT_EQ(SnapIndex::y_list_bytes(twojmax),
-              idx.y_outputs().size() * sizeof(YOutput) +
-                  idx.y_term_u().size() * sizeof(std::uint32_t) +
-                  idx.y_term_c().size() * sizeof(double))
+              idx.y_groups().size() * sizeof(YGroup) +
+                  idx.y_outputs().size() * sizeof(YOutput) +
+                  idx.y_products().size() * sizeof(std::uint32_t) +
+                  idx.y_coeffs().size() * sizeof(double))
         << "2J=" << twojmax;
   }
 }
@@ -131,44 +133,71 @@ TEST(SnapIndex, CgBlocksMatchDirectEvaluation) {
   }
 }
 
+// Row and column of full-range element u of block j.
+std::pair<int, int> u_rowcol(const SnapIndex& idx, int j, int u) {
+  return {(u - idx.u_block(j)) / (j + 1), (u - idx.u_block(j)) % (j + 1)};
+}
+
 TEST(SnapIndex, YWorkListHasOneOutputPerHalfElementOfEveryTriple) {
   for (const int tj : {0, 2, 4, 8, 14}) {
     const SnapIndex idx(tj);
-    const auto& out = idx.y_outputs();
     std::set<std::pair<int, int>> seen;
-    std::size_t want = 0;
-    for (const auto& t : idx.z_triples()) {
-      want += static_cast<std::size_t>(t.j + 1) * (t.j / 2 + 1);
-    }
-    ASSERT_EQ(out.size(), want) << "2J=" << tj;
-    int next_term = 0;
-    for (const YOutput& o : out) {
-      const ZTriple& t = idx.z_triples()[o.triple];
-      EXPECT_GE(o.e, idx.u_half_block(t.j));
-      EXPECT_LT(o.e, idx.u_half_block(t.j) + (t.j + 1) * (t.j / 2 + 1));
-      EXPECT_TRUE(seen.insert({o.triple, o.e}).second)
-          << "2J=" << tj << " duplicate output " << o.triple << "/" << o.e;
-      // Terms are contiguous and in output order; a zero-weight element's
-      // outputs carry none (the sweep still writes its Y = 0).
-      EXPECT_EQ(o.term_begin, next_term);
-      EXPECT_LE(o.term_begin, o.term_end);
-      if (idx.half_weights()[o.e] == 0.0) {
-        EXPECT_EQ(o.term_begin, o.term_end) << "2J=" << tj << " e " << o.e;
+    int next_product = 0;
+    int next_output = 0;
+    int next_coeff = 0;
+    for (const YGroup& g : idx.y_groups()) {
+      // Groups tile the products, outputs and coefficients in order.
+      ASSERT_EQ(g.product_begin, next_product) << "2J=" << tj;
+      ASSERT_EQ(g.output_begin, next_output) << "2J=" << tj;
+      ASSERT_EQ(g.coeff_begin, next_coeff) << "2J=" << tj;
+      const int k = g.output_end - g.output_begin;
+      ASSERT_GE(k, 1);
+      ASSERT_LE(k, kMaxYGroupOutputs);
+      ASSERT_LT(g.product_begin, g.product_end);
+      next_product = g.product_end;
+      next_output = g.output_end;
+      next_coeff = g.coeff_begin + (g.product_end - g.product_begin) * k;
+      // Every product of the group couples (j1, j2) at the same (A, B).
+      const std::uint32_t p0 = idx.y_products()[g.product_begin];
+      const ZTriple& t0 = idx.z_triples()[idx.y_outputs()[g.output_begin].triple];
+      const auto [ra, ca] = u_rowcol(idx, t0.j1, static_cast<int>(p0 & 0xffffu));
+      const auto [rb, cb] = u_rowcol(idx, t0.j2, static_cast<int>(p0 >> 16));
+      for (int o = g.output_begin; o < g.output_end; ++o) {
+        const YOutput& out = idx.y_outputs()[o];
+        const ZTriple& t = idx.z_triples()[out.triple];
+        EXPECT_EQ(t.j1, t0.j1);
+        EXPECT_EQ(t.j2, t0.j2);
+        // One output per (triple, half element), on a live element of the
+        // triple's block, at (ma, mb) = (A - s, B - s).
+        EXPECT_TRUE(seen.insert({out.triple, out.e}).second)
+            << "2J=" << tj << " duplicate output " << out.triple << "/"
+            << out.e;
+        ASSERT_GE(out.e, idx.u_half_block(t.j));
+        ASSERT_LT(out.e, idx.u_half_block(t.j) + (t.j + 1) * (t.j / 2 + 1));
+        EXPECT_NE(idx.half_weights()[out.e], 0.0) << "2J=" << tj;
+        const int s = (t.j1 + t.j2 - t.j) / 2;
+        const int hs = t.j / 2 + 1;
+        EXPECT_EQ((out.e - idx.u_half_block(t.j)) / hs + s, ra + rb);
+        EXPECT_EQ((out.e - idx.u_half_block(t.j)) % hs + s, ca + cb);
       }
-      next_term = o.term_end;
     }
-    EXPECT_EQ(next_term, static_cast<int>(idx.y_term_c().size()));
-    EXPECT_EQ(idx.y_term_u().size(), idx.y_term_c().size());
+    EXPECT_EQ(next_product, static_cast<int>(idx.y_products().size()));
+    EXPECT_EQ(next_output, static_cast<int>(idx.y_outputs().size()));
+    EXPECT_EQ(next_coeff, static_cast<int>(idx.y_coeffs().size()));
   }
 }
 
 TEST(SnapIndex, YWorkListTermsAreTheMergedNonZeroCouplingTerms) {
-  using Term = std::tuple<int, int, int, int>;  // triple, e, u1, u2
-  for (const int tj : {2, 8, 14}) {
+  // triple, e, u1, u2, c
+  using Term = std::tuple<int, int, int, int, double>;
+  for (const int tj : {2, 5, 8, 14}) {
     const SnapIndex idx(tj);
-    // The unflattened half-column sweep over live elements, one entry per
-    // non-zero product cg(ma1, ma2) * cg(mb1, mb2) * U[u1] * U[u2].
+    // Straight from the CG blocks: per triple and live half element, every
+    // product cg(ma1, ma2) * cg(mb1, mb2) * U[u1] * U[u2] with a non-zero
+    // coefficient; for j1 = j2 the pair with u1 > u2 merged into its
+    // mirror (u2, u1) with the coefficient doubled.
     std::set<Term> want;
+    std::size_t unmerged = 0;
     for (int ti = 0; ti < static_cast<int>(idx.z_triples().size()); ++ti) {
       const ZTriple& t = idx.z_triples()[ti];
       const int s = (t.j1 + t.j2 - t.j) / 2;
@@ -181,57 +210,80 @@ TEST(SnapIndex, YWorkListTermsAreTheMergedNonZeroCouplingTerms) {
                  mb1 <= std::min(t.j1, mb + s); ++mb1) {
               const int ma2 = ma + s - ma1;
               const int mb2 = mb + s - mb1;
-              if (idx.cg(t, ma1, ma2) * idx.cg(t, mb1, mb2) == 0.0) continue;
-              want.insert({ti, idx.u_half_index(t.j, ma, mb),
-                           idx.u_index(t.j1, ma1, mb1),
-                           idx.u_index(t.j2, ma2, mb2)});
+              const double c = idx.cg(t, ma1, ma2) * idx.cg(t, mb1, mb2);
+              if (c == 0.0) continue;
+              ++unmerged;
+              const int u1 = idx.u_index(t.j1, ma1, mb1);
+              const int u2 = idx.u_index(t.j2, ma2, mb2);
+              if (t.j1 == t.j2 && u1 > u2) continue;
+              const double mult = t.j1 == t.j2 && u1 != u2 ? 2.0 : 1.0;
+              want.insert({ti, idx.u_half_index(t.j, ma, mb), u1, u2,
+                           mult * c});
             }
           }
         }
       }
     }
-    // Decode every term, check its coupling and coefficient, and expand
-    // each merged mirror term back into its pair.
+    // Expand the groups: each product with each of its outputs' non-zero
+    // coefficients.
     std::set<Term> got;
-    for (const YOutput& o : idx.y_outputs()) {
-      const ZTriple& t = idx.z_triples()[o.triple];
-      const int s = (t.j1 + t.j2 - t.j) / 2;
-      const int hs = t.j / 2 + 1;
-      const int ma = (o.e - idx.u_half_block(t.j)) / hs;
-      const int mb = (o.e - idx.u_half_block(t.j)) % hs;
-      for (int k = o.term_begin; k < o.term_end; ++k) {
-        const int u1 = static_cast<int>(idx.y_term_u()[k] & 0xffffu);
-        const int u2 = static_cast<int>(idx.y_term_u()[k] >> 16);
-        ASSERT_GE(u1, idx.u_block(t.j1));
-        ASSERT_LT(u1, idx.u_block(t.j1) + (t.j1 + 1) * (t.j1 + 1));
-        ASSERT_GE(u2, idx.u_block(t.j2));
-        ASSERT_LT(u2, idx.u_block(t.j2) + (t.j2 + 1) * (t.j2 + 1));
-        const int ma1 = (u1 - idx.u_block(t.j1)) / (t.j1 + 1);
-        const int mb1 = (u1 - idx.u_block(t.j1)) % (t.j1 + 1);
-        const int ma2 = (u2 - idx.u_block(t.j2)) / (t.j2 + 1);
-        const int mb2 = (u2 - idx.u_block(t.j2)) % (t.j2 + 1);
-        EXPECT_EQ(ma1 + ma2, ma + s);
-        EXPECT_EQ(mb1 + mb2, mb + s);
-        const bool merged = t.j1 == t.j2 && u1 != u2;
-        EXPECT_EQ(idx.y_term_c()[k], (merged ? 2.0 : 1.0) *
-                                         idx.cg(t, ma1, ma2) *
-                                         idx.cg(t, mb1, mb2));
-        EXPECT_TRUE(got.insert({o.triple, o.e, u1, u2}).second);
-        if (merged) {
-          EXPECT_TRUE(got.insert({o.triple, o.e, u2, u1}).second)
-              << "2J=" << tj << " mirror listed twice";
+    std::size_t expanded = 0;
+    for (const YGroup& g : idx.y_groups()) {
+      const int k = g.output_end - g.output_begin;
+      for (int p = g.product_begin; p < g.product_end; ++p) {
+        const int u1 = static_cast<int>(idx.y_products()[p] & 0xffffu);
+        const int u2 = static_cast<int>(idx.y_products()[p] >> 16);
+        bool any = false;
+        for (int o = 0; o < k; ++o) {
+          const double c =
+              idx.y_coeffs()[g.coeff_begin + (p - g.product_begin) * k + o];
+          if (c == 0.0) continue;
+          any = true;
+          const YOutput& out = idx.y_outputs()[g.output_begin + o];
+          EXPECT_TRUE(got.insert({out.triple, out.e, u1, u2, c}).second)
+              << "2J=" << tj << " term listed twice";
+          ++expanded;
         }
+        EXPECT_TRUE(any) << "2J=" << tj << " product with no coefficient";
       }
     }
     EXPECT_EQ(got, want) << "2J=" << tj;
+    EXPECT_EQ(expanded, want.size());
     if (tj == 8) {
-      EXPECT_EQ(idx.y_outputs().size(), 2386u);
-      // 36 326 non-zero terms on live elements (the row-level list ran
-      // 40 732, zero-weight elements and zero column factors included).
-      EXPECT_EQ(want.size(), 36326u);
-      EXPECT_EQ(idx.y_term_c().size(), 30298u);
+      // 36 326 non-zero terms on live elements, 30 298 once mirrors merge
+      // (the flat term list), over 14 543 distinct products.
+      EXPECT_EQ(unmerged, 36326u);
+      EXPECT_EQ(want.size(), 30298u);
+      EXPECT_EQ(idx.y_products().size(), 14543u);
     }
   }
+}
+
+TEST(SnapIndex, YWorkListFormsEachProductOnce) {
+  // Up to 2J=14 no (j1, j2, A, B) couples more than kMaxYGroupOutputs
+  // values of j, so no group is split and each distinct U product appears
+  // once in the whole list.
+  for (const int tj : {2, 8, 14}) {
+    const SnapIndex idx(tj);
+    const std::set<std::uint32_t> distinct(idx.y_products().begin(),
+                                           idx.y_products().end());
+    EXPECT_EQ(distinct.size(), idx.y_products().size()) << "2J=" << tj;
+  }
+}
+
+TEST(SnapIndex, FoldBetaScalesEachTriplesCanonicalCoefficient) {
+  const SnapIndex idx(6);
+  std::vector<double> beta(idx.num_b());
+  for (int l = 0; l < idx.num_b(); ++l) beta[l] = 0.5 + l;
+  std::vector<double> out(3, -1.0);
+  idx.fold_beta(beta, out);
+  ASSERT_EQ(out.size(), idx.z_triples().size());
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    const ZTriple& z = idx.z_triples()[t];
+    EXPECT_EQ(out[t], beta[z.idxb] * z.beta_scale);
+  }
+  beta.pop_back();
+  EXPECT_THROW(idx.fold_beta(beta, out), Error);
 }
 
 TEST(SnapIndex, CountBMatchesTheBuiltIndex) {

@@ -272,16 +272,6 @@ TEST_P(SimdKernelParity, MatchesSymmetricAcrossNeighborCounts) {
 INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SimdKernelParity,
                          ::testing::Values(2, 4, 8));
 
-// Per-triple adjoint coefficients beta[idxb] * beta_scale.
-std::vector<double> fold_coeffs(const SnapIndex& idx,
-                                const std::vector<double>& beta) {
-  std::vector<double> c;
-  for (const auto& t : idx.z_triples()) {
-    c.push_back(beta[t.idxb] * t.beta_scale);
-  }
-  return c;
-}
-
 // Weight-folded half-range Y summed from the Baseline Z list of the last
 // compute_zi: Y[j,ma,mb] = sum over the triples coupling to j of
 // coeff[t] * Z_t[ma,mb], independent of the Y work list.
@@ -320,7 +310,8 @@ TEST_P(SimdAtomBlockParity, BlockYMatchesBaselineZ) {
     Rng rng(701 + static_cast<std::uint64_t>(twojmax));
     std::vector<double> beta(bi.num_b());
     for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
-    const std::vector<double> coeffs = fold_coeffs(bi.index(), beta);
+    std::vector<double> coeffs;
+    bi.index().fold_beta(beta, coeffs);
     std::vector<std::vector<Vec3>> rij;
     std::vector<std::vector<double>> wj;
     for (int a = 0; a < w; ++a) {
@@ -367,8 +358,10 @@ TEST_P(SimdAtomBlockParity, BlockYMatchesBaselineZ) {
   }
 }
 
+// 2J=16 couples up to 9 values of j at one (j1, j2, A, B), so its work
+// list splits such groups in two.
 INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SimdAtomBlockParity,
-                         ::testing::Values(2, 4, 6, 8, 14));
+                         ::testing::Values(2, 4, 6, 8, 14, 16));
 
 struct LaneResult {
   std::vector<Cplx> y;
@@ -412,7 +405,8 @@ TEST(SimdAtomBlock, LaneResultsAreBitwiseIndependentOfLaneAndBlockMates) {
     Rng rng(811);
     std::vector<double> beta(bi.num_b());
     for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
-    const std::vector<double> coeffs = fold_coeffs(bi.index(), beta);
+    std::vector<double> coeffs;
+    bi.index().fold_beta(beta, coeffs);
     std::vector<std::vector<Vec3>> atoms;
     for (int a = 0; a <= w; ++a) {
       atoms.push_back(random_shell(rng, 5 + 3 * a, 0.8, 3.2));
@@ -620,6 +614,39 @@ TEST(SymmetricKernel, LinearPotentialMatchesNaive) {
 
 TEST(SymmetricKernel, QuadraticPotentialMatchesNaive) {
   expect_potential_parity(/*quadratic=*/true);
+}
+
+TEST(SymmetricKernel, PotentialMatchesNaiveAcrossTwojmax) {
+  // The Y work list's groups change shape with 2J (2J=8 couples at most 5
+  // values of j per group, 2J=14 up to 8); forces of linear and quadratic
+  // models stay within 1e-12 of the Baseline oracle at every width. 2J=8
+  // runs in the two tests above.
+  const md::System sys = perturbed_diamond(2, 0.1, 31);
+  for (const int tj : {2, 4, 6, 14}) {
+    for (const bool quadratic : {false, true}) {
+      const SnapModel model = parity_model(tj, quadratic, 13);
+      const ForceRun oracle =
+          run_potential(model, sys, 1, SnapPotential::Path::Baseline);
+      for (const simd::SimdIsa isa : host_isas()) {
+        ScopedSimdEnv env(simd::to_string(isa));
+        const std::string where = std::string(simd::to_string(isa)) +
+                                  ", 2J=" + std::to_string(tj) +
+                                  (quadratic ? ", quadratic" : ", linear");
+        const ForceRun got =
+            run_potential(model, sys, 1, SnapPotential::Path::Adjoint);
+        EXPECT_NEAR(got.energy, oracle.energy,
+                    1e-12 * std::max(1.0, std::abs(oracle.energy)))
+            << where;
+        ASSERT_EQ(got.f.size(), oracle.f.size());
+        for (std::size_t i = 0; i < oracle.f.size(); ++i) {
+          for (int d = 0; d < 3; ++d) {
+            EXPECT_NEAR(got.f[i][d], oracle.f[i][d], 1e-12)
+                << where << ", atom " << i << " dim " << d;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SymmetricKernel, PartialAtomBlocksMatchNaive) {
