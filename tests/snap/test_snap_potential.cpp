@@ -246,7 +246,7 @@ TEST(SnapModel, LoadRejectsMalformedFilesNamingPathAndKey) {
 
 TEST(SnapModel, LoadRejectsTwojmaxAboveTheIndexBudget) {
   // 2J=24 is in range and its coefficient count is right, but its Y work
-  // list (~370 MB) is above kMaxYListBytes: the error names the path, the
+  // list (~276 MB) is above kMaxYListBytes: the error names the path, the
   // key and the bytes. 2J=14, the paper's large model, loads.
   const std::string path = "snap_model_budget_case.tmp";
   const auto write = [&](int twojmax) {
