@@ -97,13 +97,14 @@ class TimerSet {
   }
 
   // Per-thread load-balance bookkeeping: drivers feed the pool's busy
-  // seconds of each parallel sweep here, and the Fig.-4-style tables
-  // report max/avg as the imbalance ratio (1.0 = perfectly balanced).
+  // seconds of each threaded stage here (summed over all of the stage's
+  // sweeps), and the Fig.-4-style tables report max/avg as the imbalance
+  // ratio (1.0 = perfectly balanced).
   struct ThreadStats {
-    double min_total = 0.0;  // sum over sweeps of the fastest worker
-    double max_total = 0.0;  // sum over sweeps of the slowest worker
-    double sum_total = 0.0;  // sum over sweeps and workers
-    long sweeps = 0;
+    double min_total = 0.0;  // sum over stages of the fastest worker
+    double max_total = 0.0;  // sum over stages of the slowest worker
+    double sum_total = 0.0;  // sum over stages and workers
+    long stages = 0;
     int nthreads = 0;
   };
 
@@ -114,12 +115,12 @@ class TimerSet {
     st.min_total += *std::min_element(busy_seconds.begin(), busy_seconds.end());
     st.max_total += *std::max_element(busy_seconds.begin(), busy_seconds.end());
     for (const double s : busy_seconds) st.sum_total += s;
-    st.sweeps += 1;
+    st.stages += 1;
     st.nthreads = static_cast<int>(busy_seconds.size());
   }
 
   // max/avg busy time across workers; 1.0 means perfect balance, 0.0
-  // means no threaded sweeps were recorded for the category.
+  // means no threaded stages were recorded for the category.
   [[nodiscard]] double imbalance(TimerCategory category) const {
     const ThreadStats& st = thread_stats_[index(category)];
     if (st.nthreads == 0) return 0.0;

@@ -46,10 +46,99 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Adds the seconds from construction to destruction to io.stall_seconds,
+// also when the wait it times ends in a rethrown error.
+class StallTimer {
+ public:
+  StallTimer() = default;
+  StallTimer(const StallTimer&) = delete;
+  StallTimer& operator=(const StallTimer&) = delete;
+  ~StallTimer() { IoMetrics::get().stall_seconds.add(seconds_since(t0_)); }
+
+ private:
+  std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
+};
+
+// Moves a finished "<path>.tmp" over "<path>" on a helper thread. On ext4
+// a rename that replaces a file first forces writeback of the new file's
+// data (auto_da_alloc), queued behind every other dirty page of the run
+// (the trajectory's): a median 79-92 ms against 0.1-0.4 ms for the write
+// itself (DESIGN.md §13). Off the submitting thread, that wait no longer
+// stalls a step. The syscalls and their order are those of an inline
+// rename.
+//
+// At most one publish is in flight, and its helper thread lives only from
+// start() to the join in wait(). Every writer barrier joins it, so the
+// drain made before socket ranks fork() leaves no helper to cross it. The
+// rename runs outside mutex_; the lock guards only the in-flight flag, the
+// thread handle and the error.
+class Publisher {
+ public:
+  Publisher() = default;
+  Publisher(const Publisher&) = delete;
+  Publisher& operator=(const Publisher&) = delete;
+
+  ~Publisher() {
+    try {
+      wait();
+    } catch (const std::exception& e) {
+      // Destructors cannot throw; callers that must observe a failed
+      // publish call drain().
+      std::fprintf(stderr, "ember: io error during writer shutdown: %s\n",
+                   e.what());
+    }
+  }
+
+  // Starts renaming tmp over path. The caller has wait()ed for the
+  // previous publish, which held tmp's name until its rename.
+  void start(const std::string& tmp, const std::string& path) {
+    // Built here, so nothing on the helper thread can throw.
+    std::exception_ptr failure = std::make_exception_ptr(
+        Error("cannot move checkpoint into place: " + path));
+    LockGuard lk(mutex_);
+    EMBER_REQUIRE(!helper_.joinable(), "checkpoint publish already in flight");
+    // Spawned under the lock, so in_flight_ is set before the helper can
+    // clear it; the helper's first act is to wait for this lock.
+    helper_ = std::thread([this, tmp, path,
+                           failure = std::move(failure)]() mutable {
+      const bool moved = std::rename(tmp.c_str(), path.c_str()) == 0;
+      LockGuard done(mutex_);
+      if (!moved) error_ = std::move(failure);
+      in_flight_ = false;
+      done_cv_.notify_all();
+    });
+    in_flight_ = true;
+  }
+
+  // Barrier: returns once the last started publish has finished, and
+  // rethrows its error once. The join happens outside the lock.
+  void wait() {
+    std::thread helper;
+    std::exception_ptr err;
+    {
+      LockGuard lk(mutex_);
+      while (in_flight_) done_cv_.wait(mutex_);
+      helper = std::move(helper_);
+      err = std::exchange(error_, nullptr);
+    }
+    if (helper.joinable()) helper.join();  // already past its rename
+    if (err != nullptr) std::rethrow_exception(err);
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar done_cv_;
+  bool in_flight_ EMBER_GUARDED_BY(mutex_) = false;
+  std::thread helper_ EMBER_GUARDED_BY(mutex_);
+  std::exception_ptr error_ EMBER_GUARDED_BY(mutex_);
+};
+
 // Runs requests against the filesystem. Owned by exactly one thread at a
 // time — the caller for SyncWriter, the worker for AsyncWriter — so it
 // needs no locking; the per-path Embt1Writer map is what keeps delta
-// encoding stateful across trajectory requests.
+// encoding stateful across trajectory requests. The one exception is its
+// Publisher, which locks for itself: a writer's barrier waits on it from
+// the caller's thread.
 class Executor {
  public:
   void execute(const Request& req) {
@@ -67,6 +156,9 @@ class Executor {
     IoMetrics::get().bytes.add(static_cast<double>(bytes));
     IoMetrics::get().frames.add(static_cast<double>(req.frames.size()));
   }
+
+  // Barrier for the last checkpoint's rename (see Publisher).
+  void wait_published() { publisher_.wait(); }
 
  private:
   std::size_t write_trajectory(const Request& req) {
@@ -95,9 +187,9 @@ class Executor {
     return bytes.size();
   }
 
-  // Checkpoints are written to "<path>.tmp" and renamed into place so a
-  // reader never sees a half-written restart file, even while the async
-  // queue is still in flight.
+  // Checkpoints are written to "<path>.tmp" here and renamed into place by
+  // the publisher, so a reader never sees a half-written restart file,
+  // even while the async queue or the rename is still in flight.
   std::size_t write_checkpoint(const Request& req) {
     std::ostringstream buf(std::ios::binary);
     if (req.kind == Request::Kind::Checkpoint) {
@@ -109,6 +201,7 @@ class Executor {
     }
     const std::string bytes = buf.str();
     const std::string tmp = req.path + ".tmp";
+    publisher_.wait();  // the previous rename may still hold tmp's name
     {
       std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
       if (!os.good()) throw Error("cannot open " + tmp + " for writing");
@@ -119,26 +212,30 @@ class Executor {
                     tmp);
       }
     }
-    if (std::rename(tmp.c_str(), req.path.c_str()) != 0) {
-      throw Error("cannot move checkpoint into place: " + req.path);
-    }
+    publisher_.start(tmp, req.path);
     return bytes.size();
   }
 
   std::map<std::string, Embt1Writer> traj_;
+  Publisher publisher_;  // last member: its destructor waits first
 };
 
 class SyncWriter final : public Writer {
  public:
   void submit(Request req) override {
-    // The whole write happens on the caller's thread: that is exactly the
-    // stall the async backend exists to remove, so record it as one.
-    const auto t0 = std::chrono::steady_clock::now();
+    // The write happens on the caller's thread (only a checkpoint's rename
+    // does not): that is exactly the stall the async backend exists to
+    // remove, so record it as one.
+    const StallTimer stall;
     executor_.execute(req);
-    IoMetrics::get().stall_seconds.add(seconds_since(t0));
   }
 
-  void drain() override {}  // every submit already completed inline
+  // Every write already completed inline; only a checkpoint's rename may
+  // still be in flight.
+  void drain() override {
+    const StallTimer stall;
+    executor_.wait_published();
+  }
 
   [[nodiscard]] bool async() const override { return false; }
 
@@ -159,6 +256,7 @@ class AsyncWriter final : public Writer {
     }
     worker_cv_.notify_all();
     worker_.join();  // drain-on-destruct: the worker empties the queue first
+    // (executor_'s destructor then waits for the last checkpoint's rename).
     // The worker is gone, but error_ is guarded state: take the lock like
     // everyone else (uncontended here) rather than carving out an exempt
     // read the analysis would rightly flag.
@@ -198,13 +296,17 @@ class AsyncWriter final : public Writer {
   }
 
   void drain() override {
-    LockGuard lk(mutex_);
-    const auto t0 = std::chrono::steady_clock::now();
-    while (!(queue_.empty() && !in_flight_) && error_ == nullptr) {
-      caller_cv_.wait(mutex_);
+    const StallTimer stall;
+    {
+      LockGuard lk(mutex_);
+      while (!(queue_.empty() && !in_flight_) && error_ == nullptr) {
+        caller_cv_.wait(mutex_);
+      }
+      rethrow_pending();
     }
-    IoMetrics::get().stall_seconds.add(seconds_since(t0));
-    rethrow_pending();
+    // The worker is idle, but the last checkpoint's rename may still be
+    // running: wait for it outside the lock.
+    executor_.wait_published();
   }
 
   [[nodiscard]] bool async() const override { return true; }
@@ -247,7 +349,9 @@ class AsyncWriter final : public Writer {
         LockGuard lk(mutex_);
         in_flight_ = false;
         if (err != nullptr) {
-          if (error_ == nullptr) error_ = err;
+          // Moved, not copied: the caller that rethrows it then holds the
+          // last reference (TSan cannot see libstdc++'s refcount atomics).
+          if (error_ == nullptr) error_ = std::move(err);
           // Not a silent drop: the error is rethrown at the caller's next
           // submit()/drain(), and later requests could depend on this one.
           queue_.clear();

@@ -9,8 +9,8 @@
 // output bitwise identical by construction:
 //
 //   * SyncWriter   — executes the request inline. The caller blocks for
-//                    the full write (the pre-PR-8 behavior); that blocked
-//                    time is recorded as io.stall_seconds.
+//                    the full write; that blocked time is recorded as
+//                    io.stall_seconds.
 //   * AsyncWriter  — bounded queue (default capacity 2 — the classic
 //                    double buffer: one frame being written, one being
 //                    filled) drained by a dedicated "io-writer" thread.
@@ -27,10 +27,19 @@
 // throw) — callers that must observe errors call drain().
 //
 // Durability protocol: checkpoint requests are written to "<path>.tmp"
-// and renamed into place, so a checkpoint file on disk is always
-// complete even while the async queue is in flight; an explicit restart
-// barrier (drain()) is only needed when the caller must read the file
-// back immediately.
+// by the executing thread, closed, and renamed over "<path>" by a helper
+// thread, so a checkpoint file on disk is always complete even while the
+// async queue or the rename is in flight. The rename is the slow part: on
+// ext4 a rename over an existing file forces writeback of the new data
+// (auto_da_alloc), queued behind the run's own trajectory pages: a median
+// 79-92 ms against 0.1-0.4 ms for the write (DESIGN.md §13). At most one
+// rename is in flight; the next checkpoint waits for it before reusing
+// the .tmp name, and its error (ember::Error naming the path) is rethrown
+// there or at drain(). drain(), both destructors and the end of a
+// StepLoop::run() that schedules checkpoints wait for it, so a barrier
+// always finds the file in place. There is no unlink, exchange or fsync:
+// the same syscalls in the same order as an inline rename, so a crash
+// leaves the old checkpoint or the new one.
 
 #include <cstddef>
 #include <memory>
@@ -71,8 +80,9 @@ class Writer {
   // only while the queue is full). Rethrows any pending writer error.
   virtual void submit(Request req) = 0;
 
-  // Barrier: returns once every submitted request is on disk, rethrowing
-  // any writer error. The restart path and end-of-run use this.
+  // Barrier: returns once every submitted request is on disk and the
+  // last checkpoint is renamed into place, rethrowing any writer error.
+  // The restart path and end-of-run use this.
   virtual void drain() = 0;
 
   [[nodiscard]] virtual bool async() const = 0;

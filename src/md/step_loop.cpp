@@ -101,15 +101,22 @@ StepLoop::StepLoop(System sys, std::shared_ptr<PairPotential> pot,
       nl_(pot_->cutoff(), skin),
       rng_(rng) {}
 
+void StepLoop::begin_thread_times() {
+  if (!ctx_.serial()) ctx_.pool().reset_thread_seconds();
+}
+
+// Every sweep since begin_thread_times(): SNAP's force stage ends with a
+// short merge_forces sweep, and the stage's balance is the sum of both.
 void StepLoop::add_thread_times(TimerCategory category) {
   if (!ctx_.serial()) {
-    timers_.add_thread_times(category, ctx_.pool().last_thread_seconds());
+    timers_.add_thread_times(category, ctx_.pool().thread_seconds());
   }
 }
 
 void StepLoop::rebuild_neighbors(bool initial) {
   EMBER_OBS_SPAN("neigh.rebuild", "neigh");
   ScopedTimer t(timers_, TimerCategory::Neigh);
+  begin_thread_times();
   stages_->build_neighbors(*this, initial);
   add_thread_times(TimerCategory::Neigh);
   LoopMetrics::get().rebuilds.inc();
@@ -119,6 +126,7 @@ void StepLoop::rebuild_neighbors(bool initial) {
 void StepLoop::compute_forces() {
   EMBER_OBS_SPAN("force", "pair");
   ScopedTimer t(timers_, TimerCategory::Pair);
+  begin_thread_times();
   sys_.zero_forces();
   ev_ = pot_->compute(ctx_, sys_, nl_);
   add_thread_times(TimerCategory::Pair);
@@ -139,8 +147,9 @@ void StepLoop::scheduled_output() {
   if (io_plan_.checkpoints() && step_ % io_plan_.checkpoint_every == 0) {
     EMBER_OBS_SPAN("checkpoint", "io");
     ScopedTimer t(timers_, TimerCategory::Dump);
-    // No drain: the writer tmp+renames checkpoints, so the file on disk
-    // is always complete even while the queue is in flight.
+    // No drain: the writer writes "<path>.tmp" and renames it into place
+    // off this thread, so the file on disk is always complete while the
+    // queue or the rename is in flight; run() waits for both at its end.
     stages_->write_checkpoint(*this, io_plan_.checkpoint_path);
   }
 }
@@ -211,6 +220,13 @@ void StepLoop::run(long nsteps, const std::function<void()>& after_step) {
     m.steps.inc();
     m.step_seconds.record(step_timer.seconds());
     if (after_step) after_step();
+  }
+  if (io_plan_.checkpoints()) {
+    // End-of-run barrier: when run() returns, the last scheduled
+    // checkpoint is in place, as it was when the rename ran inline.
+    EMBER_OBS_SPAN("checkpoint.drain", "io");
+    ScopedTimer t(timers_, TimerCategory::Dump);
+    writer().drain();
   }
 }
 

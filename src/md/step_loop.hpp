@@ -116,8 +116,8 @@ class StepStages {
   // io::Writer (checkpoint requests are tmp+renamed, so the file on disk
   // is always complete). Default: single-System EMBERCP1 request; the
   // parallel driver gathers on root, the batched driver writes the
-  // multi-replica format. Does NOT drain — StepLoop::save_checkpoint adds
-  // the barrier for explicit restart points.
+  // multi-replica format. Does NOT drain — StepLoop::save_checkpoint and
+  // the end of a run() that schedules checkpoints add the barrier.
   virtual void write_checkpoint(StepLoop& loop, const std::string& path);
 
   // --- checked-build invariants (DESIGN.md §11) -------------------------
@@ -175,7 +175,9 @@ class StepLoop {
   void setup();
 
   // Advance nsteps through the pipeline; after_step fires after every
-  // completed step (drivers wrap it into their typed StepCallback).
+  // completed step (drivers wrap it into their typed StepCallback). When
+  // the plan schedules checkpoints, run() drains the writer before it
+  // returns (timed as Dump), so the last one is in place.
   void run(long nsteps, const std::function<void()>& after_step = {});
 
   // Scheduled output. Setting a plan restarts its first-dump truncation
@@ -210,6 +212,9 @@ class StepLoop {
   void compute_forces();
   void rebuild_neighbors(bool initial);
   void scheduled_output();
+  // A threaded stage's per-worker busy seconds: begin resets the pool's
+  // sums, add feeds them (every sweep of the stage) to the timers.
+  void begin_thread_times();
   void add_thread_times(TimerCategory category);
   // Checked build only: arm the tripwire on the first completed step and
   // compare every later step's total energy against it.

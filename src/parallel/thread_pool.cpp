@@ -49,7 +49,7 @@ void ThreadPool::run_chunks(int tid, const Sweep& sweep) {
     const int e = std::min(sweep.end, b + sweep.grain);
     (*sweep.fn)(tid, b, e);
   }
-  busy_seconds_[tid] = timer.seconds();
+  busy_seconds_[tid] += timer.seconds();
 }
 
 void ThreadPool::worker_loop(int tid) {
@@ -86,7 +86,7 @@ void ThreadPool::parallel_for(int begin, int end, int grain,
     // Serial pool: the untouched seed path, one chunk, no threads.
     WallTimer timer;
     fn(0, begin, end);
-    busy_seconds_[0] = timer.seconds();
+    busy_seconds_[0] += timer.seconds();
     return;
   }
   if (grain <= 0) grain = (n + nthreads_ - 1) / nthreads_;

@@ -25,8 +25,9 @@
 // holds mutex_ coming out of the start wait, then runs lock-free on the
 // copy. busy_seconds_ needs no lock: slot tid is written only by worker
 // tid during a sweep, and the done_cv_ handshake orders those writes
-// before any caller's read of last_thread_seconds().
+// before any caller's read of thread_seconds() or its reset.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -81,11 +82,16 @@ class ThreadPool {
     parallel_for(begin, end, /*grain=*/0, fn);
   }
 
-  // Busy seconds per worker for the last parallel_for (imbalance stats).
-  // Valid only between sweeps: parallel_for's return is the
-  // happens-before edge that publishes every slot.
-  [[nodiscard]] std::span<const double> last_thread_seconds() const {
+  // Busy seconds per worker, summed over every parallel_for since the
+  // last reset_thread_seconds(): a stage resets, runs all its sweeps and
+  // reads, so its imbalance stats cover the whole stage rather than its
+  // last (often tiny) sweep. Valid only between sweeps: parallel_for's
+  // return is the happens-before edge that publishes every slot.
+  [[nodiscard]] std::span<const double> thread_seconds() const {
     return busy_seconds_;
+  }
+  void reset_thread_seconds() {
+    std::fill(busy_seconds_.begin(), busy_seconds_.end(), 0.0);
   }
 
   // Deterministic pairwise tree reduction over per-worker slots:

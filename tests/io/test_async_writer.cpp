@@ -2,7 +2,8 @@
 // which the CI TSan job runs) exercises the double-buffered writer
 // thread: backpressure, drain barriers, error propagation with the path
 // in the message, drain-on-destruct and the checkpoint tmp+rename
-// durability protocol. The IoErrors suite pins the hardened synchronous
+// durability protocol, whose rename runs on a helper thread in both
+// backends. The IoErrors suite pins the hardened synchronous
 // md::write_xyz / md::write_checkpoint error handling.
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "common/error.hpp"
 #include "io/embt1.hpp"
+#include "io/formats.hpp"
 #include "io/frame.hpp"
 #include "io/writer.hpp"
 #include "md/io.hpp"
@@ -273,6 +275,126 @@ TEST(AsyncIo, SyncWriterSharesTheExecutor) {
   std::remove(a.c_str());
   std::remove(b.c_str());
 }
+
+Request checkpoint_request(const std::string& path, const md::System& sys) {
+  Request req;
+  req.kind = Request::Kind::Checkpoint;
+  req.path = path;
+  req.frames.push_back(frame_of(sys));
+  return req;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::string checkpoint_file_bytes(const md::System& sys) {
+  std::ostringstream os(std::ios::binary);
+  write_checkpoint_frame(os, frame_of(sys));
+  return os.str();
+}
+
+bool exists(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+class AsyncIoModes : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(AsyncIoModes, BackToBackCheckpointsLeaveTheSecond) {
+  // The second checkpoint reuses "<path>.tmp" while the first one's
+  // rename may still be in flight: it must wait for it, and the barrier
+  // must find the second checkpoint in place.
+  const std::string path =
+      std::string("/tmp/ember_asyncio_back_to_back_") + to_string(GetParam());
+  std::remove(path.c_str());
+  const md::System first = make_system(17);
+  const md::System second = make_system(17, 0.5);
+  auto w = make_writer(GetParam());
+  w->submit(checkpoint_request(path, first));
+  w->submit(checkpoint_request(path, second));
+  w->drain();
+  EXPECT_EQ(slurp(path), checkpoint_file_bytes(second))
+      << "the file must reload bit for bit to the second checkpoint";
+  EXPECT_FALSE(exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST_P(AsyncIoModes, FailedPublishNamesThePathAndWriterStaysUsable) {
+  // An existing directory as the target: the .tmp write succeeds and the
+  // rename over the directory fails, even for root (unlike a read-only
+  // directory).
+  const std::string mode = to_string(GetParam());
+  const std::string dir = "/tmp/ember_asyncio_publish_dir_" + mode;
+  const std::string ok = "/tmp/ember_asyncio_publish_ok_" + mode;
+  ::mkdir(dir.c_str(), 0755);
+  ASSERT_TRUE(exists(dir));
+  const auto expect_names_dir = [&](const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+        << "publish error must name the path: " << e.what();
+  };
+  auto w = make_writer(GetParam());
+
+  // Surfaces at the next barrier...
+  w->submit(checkpoint_request(dir, make_system(5)));
+  try {
+    w->drain();
+    FAIL() << "drain did not surface the failed publish";
+  } catch (const Error& e) {
+    expect_names_dir(e);
+  }
+  EXPECT_NO_THROW(w->drain()) << "the error is delivered once";
+
+  // ...or at the next checkpoint submit(), which waits for the rename
+  // before reusing the .tmp name (async: the worker latches it there and
+  // the caller's next submit()/drain() rethrows it).
+  w->submit(checkpoint_request(dir, make_system(5)));
+  bool thrown = false;
+  try {
+    w->submit(checkpoint_request(ok, make_system(6)));
+    w->drain();
+  } catch (const Error& e) {
+    thrown = true;
+    expect_names_dir(e);
+  }
+  EXPECT_TRUE(thrown) << "the failed publish was swallowed";
+  EXPECT_NO_THROW(w->drain());
+
+  // The writer stays usable.
+  const md::System sys = make_system(9, 0.25);
+  w->submit(checkpoint_request(ok, sys));
+  w->drain();
+  EXPECT_EQ(slurp(ok), checkpoint_file_bytes(sys));
+  EXPECT_FALSE(exists(ok + ".tmp"));
+  std::remove(ok.c_str());
+  std::remove((dir + ".tmp").c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST_P(AsyncIoModes, DestructorWaitsForThePublish) {
+  const std::string path =
+      std::string("/tmp/ember_asyncio_publish_destruct_") +
+      to_string(GetParam());
+  std::remove(path.c_str());
+  const md::System sys = make_system(11);
+  {
+    auto w = make_writer(GetParam());
+    w->submit(checkpoint_request(path, sys));
+    // No drain: the destructor waits for the rename.
+  }
+  EXPECT_EQ(slurp(path), checkpoint_file_bytes(sys));
+  EXPECT_FALSE(exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(AsyncIo, AsyncIoModes,
+                         ::testing::Values(Mode::Sync, Mode::Async),
+                         [](const auto& param_info) {
+                           return std::string(to_string(param_info.param));
+                         });
 
 // --- synchronous path-level API hardening (md::write_xyz & friends) -----
 

@@ -8,11 +8,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "comm/transport.hpp"
 #include "../comm/transport_test_util.hpp"
+#include "io/formats.hpp"
+#include "io/writer.hpp"
 #include "md/batched.hpp"
 #include "md/io.hpp"
 #include "md/lattice.hpp"
@@ -283,6 +288,100 @@ TEST(CheckpointRoundTrip, BatchedRestartMatchesUninterrupted) {
     expect_systems_close(full.replica(r), tail.replica(r), 1e-8);
   }
   std::remove(path);
+}
+
+// ---- the end of run() is a checkpoint barrier -----------------------------
+
+// A synchronous writer that remembers the bytes of the last checkpoint it
+// was handed, serialized by the same format code the executor uses.
+class RecordingWriter final : public io::Writer {
+ public:
+  void submit(io::Request req) override {
+    if (req.kind != io::Request::Kind::Trajectory) {
+      std::ostringstream os(std::ios::binary);
+      if (req.kind == io::Request::Kind::Checkpoint) {
+        io::write_checkpoint_frame(os, req.frames.front());
+      } else {
+        io::write_checkpoint_frames(os, req.frames);
+      }
+      last_checkpoint = os.str();
+    }
+    inner_->submit(std::move(req));
+  }
+  void drain() override { inner_->drain(); }
+  [[nodiscard]] bool async() const override { return false; }
+
+  std::string last_checkpoint;
+
+ private:
+  std::unique_ptr<io::Writer> inner_ = io::make_writer(io::Mode::Sync);
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+IoPlan checkpoint_plan(const std::string& path) {
+  IoPlan plan;
+  plan.checkpoint_every = 10;
+  plan.checkpoint_path = path;
+  return plan;
+}
+
+// The checkpoint's rename runs off the stepping thread; run() must not
+// return before it did, so a caller that never drains (a benchmark, a
+// library user) still finds the last scheduled checkpoint in place.
+void expect_last_checkpoint_in_place(const std::string& path,
+                                     const RecordingWriter& writer) {
+  ASSERT_FALSE(writer.last_checkpoint.empty());
+  EXPECT_EQ(slurp(path), writer.last_checkpoint);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+}
+
+TEST(AsyncIo, SerialRunEndsWithTheLastCheckpointInPlace) {
+  const std::string path = "/tmp/ember_steploop_run_barrier_serial.bin";
+  std::remove(path.c_str());
+  auto writer = std::make_shared<RecordingWriter>();
+  Simulation sim(make_argon(2, 40.0, 3), lj(), 0.002, 0.4, 5);
+  sim.set_writer(writer);
+  sim.set_io_plan(checkpoint_plan(path));
+  for (int chunk = 0; chunk < 3; ++chunk) {
+    sim.run(25);  // checkpoints at 10, 20 | 30, 40, 50 | 60, 70
+    expect_last_checkpoint_in_place(path, *writer);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AsyncIo, BatchedRunEndsWithTheLastCheckpointInPlace) {
+  const std::string path = "/tmp/ember_steploop_run_barrier_batch.bin";
+  std::remove(path.c_str());
+  auto writer = std::make_shared<RecordingWriter>();
+  std::vector<System> reps{make_argon(2, 30.0, 4), make_argon(2, 50.0, 5)};
+  BatchedSimulation batch(std::move(reps), lj(), 0.002, 0.4, 23);
+  batch.set_writer(writer);
+  batch.set_io_plan(checkpoint_plan(path));
+  batch.run(30);
+  expect_last_checkpoint_in_place(path, *writer);
+  std::remove(path.c_str());
+}
+
+TEST(AsyncIo, ParallelRunEndsWithTheLastCheckpointInPlace) {
+  const std::string path = "/tmp/ember_steploop_run_barrier_ranks.bin";
+  std::remove(path.c_str());
+  const System init = make_argon(3, 40.0, 9);
+  comm::test::make(comm::TransportKind::Thread, 2)
+      ->run([&](comm::Transport& c) {
+    parallel::ParallelSimulation psim(c, init, lj(), 0.002, 0.4, 17);
+    auto writer = std::make_shared<RecordingWriter>();  // rank-private
+    psim.set_writer(writer);
+    psim.set_io_plan(checkpoint_plan(path));
+    psim.run(30);
+    if (c.rank() == 0) expect_last_checkpoint_in_place(path, *writer);
+  });
+  std::remove(path.c_str());
 }
 
 }  // namespace

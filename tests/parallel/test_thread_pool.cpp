@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "md/compute_context.hpp"
 #include "md/lattice.hpp"
 #include "md/neighbor.hpp"
@@ -74,6 +75,39 @@ TEST(ThreadPool, BlocksPartitionIsContiguousPerWorker) {
   EXPECT_EQ(calls.load(std::memory_order_relaxed), 4);
   const int expect[] = {0, 0, 0, 1, 1, 1, 2, 2, 2, 3};
   for (int i = 0; i < 10; ++i) EXPECT_EQ(tid_of[i], expect[i]);
+}
+
+TEST(ThreadPool, ThreadSecondsSumEverySweepSinceTheReset) {
+  // A stage = a heavy balanced sweep, then a tiny unbalanced one (SNAP's
+  // force sweep, then its merge). The stage's imbalance must follow the
+  // heavy sweep, not the last one. Each worker spins on the wall clock,
+  // so its busy time holds even when the host deschedules it.
+  constexpr int kThreads = 4;
+  parallel::ThreadPool pool(kThreads);
+  const auto spin = [](double seconds) {
+    const WallTimer t;
+    while (t.seconds() < seconds) {
+    }
+  };
+  pool.parallel_blocks(0, kThreads, [&](int, int, int) { spin(0.2); });
+  pool.reset_thread_seconds();  // the stage starts here
+  pool.parallel_blocks(0, kThreads, [&](int, int, int) { spin(0.02); });
+  pool.parallel_blocks(0, kThreads, [&](int tid, int, int) {
+    if (tid == 0) spin(0.002);
+  });
+  const auto busy = pool.thread_seconds();
+  ASSERT_EQ(busy.size(), static_cast<std::size_t>(kThreads));
+  for (const double s : busy) {
+    EXPECT_GE(s, 0.02);
+    EXPECT_LT(s, 0.2) << "the sweep before the reset was counted";
+  }
+  TimerSet timers;
+  timers.add_thread_times(TimerCategory::Pair, busy);
+  // Heavy sweep alone: 1.0. The last sweep alone: ~kThreads.
+  EXPECT_LT(timers.imbalance(TimerCategory::Pair), 2.0);
+
+  pool.reset_thread_seconds();
+  for (const double s : pool.thread_seconds()) EXPECT_EQ(s, 0.0);
 }
 
 TEST(ThreadPool, ReduceTreeIsFixedOrder) {
