@@ -19,10 +19,10 @@ scale (DESIGN.md section 11):
       operator[]: a stale index into a rebuilt list is the classic silent
       corruption in MD codes.
   obs-span-early-return
-      A bare { } block whose first statement is EMBER_OBS_SPAN is an
-      instrumentation scope; a `return` inside one leaks control flow out
-      of a region the trace claims completed, and under EMBER_OBS=OFF
-      the block silently changes meaning.
+      A bare { } block whose first statement is EMBER_OBS_SPAN or a named
+      obs::ScopedSpan (a timed scope) is an instrumentation scope; a
+      `return` inside one leaks control flow out of a region the trace
+      and its timer claim completed.
   timer-switch-exhaustive
       Any switch over TimerCategory must list all five enumerators
       (Pair, Neigh, Comm, Other, Dump) and carry no default:, so adding
@@ -73,7 +73,7 @@ RULES = {
     "naked-delete": "raw `delete` (deleted special members are exempt)",
     "atomic-memory-order": "std::atomic operation without an explicit memory order",
     "neighbor-span-index": "unchecked operator[] on a NeighborList neighbor span",
-    "obs-span-early-return": "return inside a bare EMBER_OBS_SPAN instrumentation block",
+    "obs-span-early-return": "return inside a bare EMBER_OBS_SPAN / obs::ScopedSpan instrumentation block",
     "timer-switch-exhaustive": "switch over TimerCategory missing enumerators or using default:",
     "blocking-io-in-steploop": "direct file output in step-loop code: submit an io::Writer request",
     "comm-backend-include": "comm backend header included outside src/comm/",
@@ -303,7 +303,8 @@ def check_neighbor_span_index(path, raw_lines, code, findings):
             pos += 1
 
 
-OBS_SPAN_RE = re.compile(r"\bEMBER_OBS_SPAN(?:_ARG)?\s*\(")
+OBS_SPAN_RE = re.compile(
+    r"\b(?:EMBER_OBS_SPAN\s*\(|(?:(?:ember::)?obs::)?ScopedSpan\s+\w+\s*[({])")
 
 
 def check_obs_span_early_return(path, raw_lines, code, findings):
@@ -339,7 +340,7 @@ def check_obs_span_early_return(path, raw_lines, code, findings):
                            findings, path):
                 findings.append(Finding(
                     path, ln, "obs-span-early-return",
-                    f"return inside the EMBER_OBS_SPAN block opened at line "
+                    f"return inside the span block opened at line "
                     f"{span_line}: hoist the early return out of the "
                     "instrumentation scope"))
 

@@ -10,15 +10,13 @@
 #      engine is threaded; TSan pins the no-shared-mutable-state design)
 #      and the AsyncIo suite (the writer thread's queue/backpressure/
 #      error handshake is exactly the kind of code TSan exists for).
-#   4. bench_record: re-measure the headline kernel curves and refresh
-#      BENCH_headline.json at the repo root (validated as JSON).
-#   5. Observability smoke: a traced ember_run demo; the Chrome trace
+#   4. Observability smoke: a traced ember_run demo; the Chrome trace
 #      and the metrics dump must both parse. Then the SNAP stage-split
 #      example (run from the repo root, which its model path assumes): its
 #      metrics dump must report SNAP atoms and Y-stage time.
-#   6. Socket transport: the forked-process comm subset (ctest -R
+#   5. Socket transport: the forked-process comm subset (ctest -R
 #      Socket) plus the multi-process elastic-rescaling example.
-#   7. Trajectory round-trip: the async-writer demo dumps a compressed
+#   6. Trajectory round-trip: the async-writer demo dumps a compressed
 #      EMBT1 trajectory and streams it back through `analyze
 #      trajectory`; every dumped frame must come back classified.
 #
@@ -28,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "== [1/7] lint: ember_lint + ember_analyze + clang-tidy =="
+echo "== [1/6] lint: ember_lint + ember_analyze + clang-tidy =="
 python3 scripts/ember_lint.py src
 python3 scripts/ember_analyze.py src
 python3 tests/lint/test_ember_lint.py
@@ -36,11 +34,11 @@ python3 tests/analyze/test_ember_analyze.py
 cmake -B build -S . >/dev/null
 scripts/run_clang_tidy.sh build
 
-echo "== [2/7] Release build + full test suite =="
+echo "== [2/6] Release build + full test suite =="
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [3/7] TSan build + threaded-kernel tests =="
+echo "== [3/6] TSan build + threaded-kernel tests =="
 cmake -B build-tsan -S . -DEMBER_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   test_thread_pool test_snap_lane_kernel test_md_dynamics \
@@ -51,30 +49,7 @@ TSAN_OPTIONS="suppressions=$PWD/scripts/suppressions/tsan.supp" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'ThreadPool|ThreadedForces|ComputeContext|SymmetricKernel|SimdKernel|Dynamics|CrossDriver|StepLoopTimers|StepLoopTrace|ObsMetrics|ObsTrace|AsyncIo|Embt1'
 
-echo "== [4/7] bench_record =="
-cmake --build build -j "$JOBS" --target bench_record
-if command -v python3 >/dev/null; then
-  python3 -m json.tool BENCH_headline.json >/dev/null
-  # Thread counts beyond the hardware stay in the recording (stamped
-  # "oversubscribed" by bench_headline), but a smoke run on a small
-  # container should say so out loud rather than silently bless a flat
-  # scaling curve.
-  OVERSUB="$(python3 - <<'EOF'
-import json
-doc = json.load(open("BENCH_headline.json"))
-n = sum(1 for k in doc.get("kernels", [])
-        for e in k.get("grind_time", []) if e.get("oversubscribed"))
-print(n)
-EOF
-)"
-  if [ "$OVERSUB" -gt 0 ]; then
-    echo "smoke: WARNING: $OVERSUB oversubscribed grind_time entries in" \
-         "BENCH_headline.json (threads > hardware_threads); the scaling" \
-         "columns beyond the core count measure interleaving, not speedup."
-  fi
-fi
-
-echo "== [5/7] traced demo run =="
+echo "== [4/6] traced demo run =="
 TRACE_TMP="$(mktemp -d)"
 (cd "$TRACE_TMP" && EMBER_NUM_THREADS=2 \
   "$OLDPWD/build/src/app/ember_run" "$OLDPWD/examples/inputs/trace_demo.in")
@@ -89,7 +64,7 @@ if command -v python3 >/dev/null; then
 fi
 rm -f snap_stages_trace.json snap_stages_metrics.json
 
-echo "== [6/7] socket transport: forked-process subset + example =="
+echo "== [5/6] socket transport: forked-process subset + example =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R Socket
 SOCK_TMP="$(mktemp -d)"
 (cd "$SOCK_TMP" && EMBER_TRANSPORT=socket \
@@ -97,7 +72,7 @@ SOCK_TMP="$(mktemp -d)"
   "$OLDPWD/examples/inputs/multiprocess_scaling.in")
 rm -rf "$SOCK_TMP"
 
-echo "== [7/7] trajectory round-trip: async EMBT1 dump -> analyze =="
+echo "== [6/6] trajectory round-trip: async EMBT1 dump -> analyze =="
 TRAJ_TMP="$(mktemp -d)"
 (cd "$TRAJ_TMP" &&
   "$OLDPWD/build/src/app/ember_run" \

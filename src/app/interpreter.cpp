@@ -433,9 +433,6 @@ void Interpreter::cmd_trace(std::istream& args) {
     auto& session = obs::TraceSession::global();
     session.clear();
     session.start();
-    // Tracing opts into the per-atom SNAP stage timers too: one trace run
-    // yields both the span timeline and the kernel-stage counters.
-    obs::set_kernel_timing(true);
     out_ << "trace on -> " << trace_path_ << "\n";
   } else if (mode == "off") {
     EMBER_REQUIRE(!trace_path_.empty(),
@@ -449,7 +446,6 @@ void Interpreter::cmd_trace(std::istream& args) {
 void Interpreter::flush_trace() {
   auto& session = obs::TraceSession::global();
   session.stop();
-  obs::set_kernel_timing(false);
   session.write_chrome_trace(trace_path_);
   out_ << "trace written to " << trace_path_ << " ("
        << session.snapshot().size() << " spans)\n";

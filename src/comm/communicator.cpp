@@ -26,9 +26,7 @@ void World::run(const std::function<void(ThreadTransport&)>& fn) {
   threads.reserve(size_);
   for (int r = 0; r < size_; ++r) {
     threads.emplace_back([this, r, &fn, &errors] {
-#if !defined(EMBER_OBS_DISABLED)
       obs::TraceSession::global().set_thread_name("rank-" + std::to_string(r));
-#endif
       ThreadTransport comm(*this, r);
       try {
         fn(comm);

@@ -336,10 +336,8 @@ namespace {
     if (i != rank) close_fd(ctl_child[static_cast<std::size_t>(i)]);
   }
   const int ctl = ctl_child[static_cast<std::size_t>(rank)];
-#if !defined(EMBER_OBS_DISABLED)
   obs::TraceSession::global().set_thread_name("rank-" +
                                               std::to_string(rank));
-#endif
   int exit_code = 0;
   try {
     SocketTransport transport(rank, mesh[static_cast<std::size_t>(rank)]);

@@ -81,6 +81,12 @@ class TimerSet {
     totals_[index(category)] += seconds;
   }
 
+  // The category's running total: a timed obs::ScopedSpan adds its
+  // seconds here, from the same two clock readings as its span.
+  [[nodiscard]] double* bucket(TimerCategory category) {
+    return &totals_[index(category)];
+  }
+
   [[nodiscard]] double total(TimerCategory category) const {
     return totals_[index(category)];
   }
@@ -144,22 +150,6 @@ class TimerSet {
 
   std::array<double, kNumTimerCategories> totals_{};
   std::array<ThreadStats, kNumTimerCategories> thread_stats_{};
-};
-
-// RAII helper: adds the scope's elapsed time to a TimerSet bucket.
-class ScopedTimer {
- public:
-  ScopedTimer(TimerSet& set, TimerCategory category)
-      : set_(set), category_(category) {}
-  ~ScopedTimer() { set_.add(category_, timer_.seconds()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerSet& set_;
-  TimerCategory category_;
-  WallTimer timer_;
 };
 
 }  // namespace ember

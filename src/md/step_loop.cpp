@@ -114,8 +114,8 @@ void StepLoop::add_thread_times(TimerCategory category) {
 }
 
 void StepLoop::rebuild_neighbors(bool initial) {
-  EMBER_OBS_SPAN("neigh.rebuild", "neigh");
-  ScopedTimer t(timers_, TimerCategory::Neigh);
+  obs::ScopedSpan stage("neigh.rebuild", "neigh",
+                       timers_.bucket(TimerCategory::Neigh));
   begin_thread_times();
   stages_->build_neighbors(*this, initial);
   add_thread_times(TimerCategory::Neigh);
@@ -124,8 +124,7 @@ void StepLoop::rebuild_neighbors(bool initial) {
 }
 
 void StepLoop::compute_forces() {
-  EMBER_OBS_SPAN("force", "pair");
-  ScopedTimer t(timers_, TimerCategory::Pair);
+  obs::ScopedSpan stage("force", "pair", timers_.bucket(TimerCategory::Pair));
   begin_thread_times();
   sys_.zero_forces();
   ev_ = pot_->compute(ctx_, sys_, nl_);
@@ -139,14 +138,13 @@ void StepLoop::compute_forces() {
 // attribute to output, not to Other.
 void StepLoop::scheduled_output() {
   if (io_plan_.dumps() && step_ % io_plan_.dump_every == 0) {
-    EMBER_OBS_SPAN("dump", "io");
-    ScopedTimer t(timers_, TimerCategory::Dump);
+    obs::ScopedSpan stage("dump", "io", timers_.bucket(TimerCategory::Dump));
     stages_->dump(*this, io_plan_, !dump_started_ && !io_plan_.append);
     dump_started_ = true;
   }
   if (io_plan_.checkpoints() && step_ % io_plan_.checkpoint_every == 0) {
-    EMBER_OBS_SPAN("checkpoint", "io");
-    ScopedTimer t(timers_, TimerCategory::Dump);
+    obs::ScopedSpan stage("checkpoint", "io",
+                         timers_.bucket(TimerCategory::Dump));
     // No drain: the writer writes "<path>.tmp" and renames it into place
     // off this thread, so the file on disk is always complete while the
     // queue or the rename is in flight; run() waits for both at its end.
@@ -167,15 +165,15 @@ void StepLoop::observe_drift() {
 void StepLoop::setup() {
   EMBER_OBS_SPAN("setup", "other");
   {
-    EMBER_OBS_SPAN("exchange", "comm");
-    timed_comm([&] { stages_->exchange(*this, /*initial=*/true); });
+    obs::ScopedSpan stage("exchange", "comm", comm_bucket());
+    stages_->exchange(*this, /*initial=*/true);
   }
   EMBER_CHECK(stages_->verify_exchange(*this, /*initial=*/true));
   rebuild_neighbors(/*initial=*/true);
   compute_forces();
   {
-    EMBER_OBS_SPAN("reverse", "comm");
-    timed_comm([&] { stages_->reverse_forces(*this); });
+    obs::ScopedSpan stage("reverse", "comm", comm_bucket());
+    stages_->reverse_forces(*this);
   }
   ready_ = true;
 }
@@ -183,49 +181,51 @@ void StepLoop::setup() {
 void StepLoop::run(long nsteps, const std::function<void()>& after_step) {
   if (!ready_) setup();
   for (long s = 0; s < nsteps; ++s) {
-    EMBER_OBS_SPAN_ARG("step", "step", "step", step_);
-    WallTimer step_timer;
+    double step_seconds = 0.0;
     {
-      EMBER_OBS_SPAN("integrate.initial", "other");
-      ScopedTimer t(timers_, TimerCategory::Other);
-      integrator_.initial_integrate(sys_, &ctx_);
-    }
-    EMBER_CHECK(check::check_finite(sys_.x, sys_.nlocal(), "position",
-                                    "integrate", step_));
-    if (stages_->check_rebuild(*this)) {
+      obs::ScopedSpan span("step", "step", &step_seconds, "step", step_);
       {
-        EMBER_OBS_SPAN("exchange", "comm");
-        timed_comm([&] { stages_->exchange(*this, /*initial=*/false); });
+        obs::ScopedSpan stage("integrate.initial", "other",
+                              timers_.bucket(TimerCategory::Other));
+        integrator_.initial_integrate(sys_, &ctx_);
       }
-      EMBER_CHECK(stages_->verify_exchange(*this, /*initial=*/false));
-      rebuild_neighbors(/*initial=*/false);
-    } else {
-      EMBER_OBS_SPAN("forward", "comm");
-      timed_comm([&] { stages_->forward_positions(*this); });
+      EMBER_CHECK(check::check_finite(sys_.x, sys_.nlocal(), "position",
+                                      "integrate", step_));
+      if (stages_->check_rebuild(*this)) {
+        {
+          obs::ScopedSpan stage("exchange", "comm", comm_bucket());
+          stages_->exchange(*this, /*initial=*/false);
+        }
+        EMBER_CHECK(stages_->verify_exchange(*this, /*initial=*/false));
+        rebuild_neighbors(/*initial=*/false);
+      } else {
+        obs::ScopedSpan stage("forward", "comm", comm_bucket());
+        stages_->forward_positions(*this);
+      }
+      compute_forces();
+      {
+        obs::ScopedSpan stage("reverse", "comm", comm_bucket());
+        stages_->reverse_forces(*this);
+      }
+      {
+        obs::ScopedSpan stage("integrate.final", "other",
+                              timers_.bucket(TimerCategory::Other));
+        integrator_.final_integrate(sys_, ev_, rng_, &ctx_);
+      }
+      ++step_;
+      EMBER_CHECK(observe_drift());
+      scheduled_output();
     }
-    compute_forces();
-    {
-      EMBER_OBS_SPAN("reverse", "comm");
-      timed_comm([&] { stages_->reverse_forces(*this); });
-    }
-    {
-      EMBER_OBS_SPAN("integrate.final", "other");
-      ScopedTimer t(timers_, TimerCategory::Other);
-      integrator_.final_integrate(sys_, ev_, rng_, &ctx_);
-    }
-    ++step_;
-    EMBER_CHECK(observe_drift());
-    scheduled_output();
     LoopMetrics& m = LoopMetrics::get();
     m.steps.inc();
-    m.step_seconds.record(step_timer.seconds());
+    m.step_seconds.record(step_seconds);
     if (after_step) after_step();
   }
   if (io_plan_.checkpoints()) {
     // End-of-run barrier: when run() returns, the last scheduled
     // checkpoint is in place, as it was when the rename ran inline.
-    EMBER_OBS_SPAN("checkpoint.drain", "io");
-    ScopedTimer t(timers_, TimerCategory::Dump);
+    obs::ScopedSpan stage("checkpoint.drain", "io",
+                          timers_.bucket(TimerCategory::Dump));
     writer().drain();
   }
 }

@@ -219,14 +219,11 @@ class StepLoop {
   // Checked build only: arm the tripwire on the first completed step and
   // compare every later step's total energy against it.
   void observe_drift();
-  template <typename Fn>
-  void timed_comm(Fn&& fn) {
-    if (stages_->communicates()) {
-      ScopedTimer t(timers_, TimerCategory::Comm);
-      fn();
-    } else {
-      fn();
-    }
+  // A comm stage's sink: the Comm bucket, or none (an untimed span) for
+  // drivers that do not communicate.
+  [[nodiscard]] double* comm_bucket() {
+    return stages_->communicates() ? timers_.bucket(TimerCategory::Comm)
+                                   : nullptr;
   }
 
   StepStages* stages_;

@@ -1,6 +1,5 @@
 #include "trace.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <deque>
 
@@ -8,14 +7,6 @@
 #include "common/thread_annotations.hpp"
 
 namespace ember::obs {
-
-namespace {
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 // One buffer per thread that ever recorded a span (or set a name). The
 // buffer's mutex serializes that thread's appends against snapshot() from
@@ -137,44 +128,34 @@ void TraceSession::write_chrome_trace(const std::string& path) const {
 
 // ---- ScopedSpan -----------------------------------------------------------
 
-ScopedSpan::ScopedSpan(const char* name, const char* cat) {
+ScopedSpan::ScopedSpan(const char* name, const char* cat, double* sink,
+                       const char* arg_key, std::int64_t arg_val)
+    : sink_(sink) {
   TraceSession& s = TraceSession::global();
-  if (!s.enabled()) return;
-  buf_ = &s.buffer();
-  ev_.name = name;
-  ev_.cat = cat;
-  ev_.tid = buf_->tid;
-  ev_.depth = buf_->depth++;
-  ev_.start_ns = now_ns() - s.t0_ns_;
-}
-
-ScopedSpan::ScopedSpan(const char* name, const char* cat, const char* arg_key,
-                       std::int64_t arg_val)
-    : ScopedSpan(name, cat) {
-  ev_.arg_key = arg_key;
-  ev_.arg_val = arg_val;
+  if (s.enabled()) {
+    buf_ = &s.buffer();
+    ev_.name = name;
+    ev_.cat = cat;
+    ev_.tid = buf_->tid;
+    ev_.depth = buf_->depth++;
+    ev_.arg_key = arg_key;
+    ev_.arg_val = arg_val;
+  } else if (sink_ == nullptr) {
+    return;
+  }
+  start_ns_ = now_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
+  if (sink_ == nullptr && buf_ == nullptr) return;
+  const std::int64_t dur_ns = now_ns() - start_ns_;
+  if (sink_ != nullptr) *sink_ += 1e-9 * static_cast<double>(dur_ns);
   if (buf_ == nullptr) return;
-  ev_.dur_ns = (now_ns() - TraceSession::global().t0_ns_) - ev_.start_ns;
+  ev_.start_ns = start_ns_ - TraceSession::global().t0_ns_;
+  ev_.dur_ns = dur_ns;
   buf_->depth--;
   LockGuard lock(buf_->mutex);
   buf_->events.push_back(ev_);
-}
-
-// ---- kernel-stage timing gate ---------------------------------------------
-
-namespace {
-std::atomic<bool> g_kernel_timing{false};
-}
-
-bool kernel_timing_enabled() {
-  return g_kernel_timing.load(std::memory_order_relaxed);
-}
-
-void set_kernel_timing(bool on) {
-  g_kernel_timing.store(on, std::memory_order_relaxed);
 }
 
 }  // namespace ember::obs

@@ -7,12 +7,17 @@
 // not just end-of-run totals. This file provides:
 //
 //   * TraceSession — one process-wide session. start()/stop() flips a
-//     single relaxed atomic; when stopped, a ScopedSpan constructor is
-//     one load and one branch (and EMBER_OBS=OFF compiles the macros away
-//     entirely), so a disabled build pays nothing on the hot path.
-//   * ScopedSpan — RAII span. Records name, category, thread, nesting
-//     depth, start and duration into a per-thread buffer (own mutex per
-//     buffer: appends are uncontended; exports are safe concurrently).
+//     single relaxed atomic.
+//   * ScopedSpan — the one RAII scope. Timed (given a sink), it reads the
+//     clock once on entry and once on exit whether or not tracing is on,
+//     adds the interval's seconds to the sink (a TimerSet bucket, a pool
+//     worker's busy seconds, a step's duration) and, while tracing is on,
+//     records the same two readings as its span, so a stage's timer and
+//     its span cannot disagree. Untimed, it costs one relaxed load while
+//     tracing is off and reads no clock. A recorded span holds name,
+//     category, thread, nesting depth, start and duration in a per-thread
+//     buffer (own mutex per buffer: appends are uncontended; exports are
+//     safe concurrently).
 //   * Chrome trace-event JSON export ("traceEvents" with "ph":"X"
 //     complete events, microsecond timestamps) — loadable directly in
 //     Perfetto / chrome://tracing. Thread-name metadata events label the
@@ -23,6 +28,7 @@
 // allocation.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,6 +36,13 @@
 #include "obs/json.hpp"
 
 namespace ember::obs {
+
+// The clock every span and timed scope reads: steady_clock, nanoseconds.
+[[nodiscard]] inline std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 struct SpanEvent {
   const char* name = nullptr;
@@ -91,39 +104,28 @@ class TraceSession {
 
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, const char* cat = "other");
-  ScopedSpan(const char* name, const char* cat, const char* arg_key,
-             std::int64_t arg_val);
+  explicit ScopedSpan(const char* name, const char* cat = "other")
+      : ScopedSpan(name, cat, nullptr) {}
+  // sink != nullptr: a timed scope, whose seconds are added to *sink.
+  // arg_key/arg_val: optional single integer annotation ("step": 1234).
+  ScopedSpan(const char* name, const char* cat, double* sink,
+             const char* arg_key = nullptr, std::int64_t arg_val = 0);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  double* sink_;
   TraceSession::ThreadBuffer* buf_ = nullptr;  // null when session disabled
+  std::int64_t start_ns_ = 0;  // absolute; read only if sink_ or buf_ is set
   SpanEvent ev_;
 };
 
-// Per-atom kernel-stage timing (SNAP compute_ui/yi/dei) is too hot for
-// always-on clock reads next to cheap potentials; it is gated on this
-// flag (enabled together with tracing by the interpreter / EMBER_TRACE).
-[[nodiscard]] bool kernel_timing_enabled();
-void set_kernel_timing(bool on);
-
 }  // namespace ember::obs
 
-// Macro layer: spans compile away entirely under -DEMBER_OBS_DISABLED
-// (CMake option EMBER_OBS=OFF), which is the belt-and-braces half of the
-// "no measurable grind-time regression when off" contract.
-#if defined(EMBER_OBS_DISABLED)
-#define EMBER_OBS_SPAN(name, cat) ((void)0)
-#define EMBER_OBS_SPAN_ARG(name, cat, key, val) ((void)0)
-#else
+// Untimed span with a line-unique variable name.
 #define EMBER_OBS_CONCAT2(a, b) a##b
 #define EMBER_OBS_CONCAT(a, b) EMBER_OBS_CONCAT2(a, b)
 #define EMBER_OBS_SPAN(name, cat) \
   ember::obs::ScopedSpan EMBER_OBS_CONCAT(ember_span_, __LINE__)(name, cat)
-#define EMBER_OBS_SPAN_ARG(name, cat, key, val)                         \
-  ember::obs::ScopedSpan EMBER_OBS_CONCAT(ember_span_, __LINE__)(name, cat, \
-                                                                 key, val)
-#endif

@@ -158,8 +158,8 @@ void ParallelSimulation::exchange_ghosts() {
 }
 
 bool ParallelSimulation::check_rebuild(md::StepLoop& loop) {
-  EMBER_OBS_SPAN("comm.rebuild_check", "comm");
-  ScopedTimer t(loop.timers(), TimerCategory::Comm);
+  obs::ScopedSpan stage("comm.rebuild_check", "comm",
+                        loop.timers().bucket(TimerCategory::Comm));
   return comm_.allreduce_or(
       loop.neighbor_list().needs_rebuild(loop.system()));
 }

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace ember::parallel {
@@ -37,10 +36,10 @@ ThreadPool::Sweep ThreadPool::current_sweep() const {
 }
 
 void ThreadPool::run_chunks(int tid, const Sweep& sweep) {
-  // One span per worker per sweep: with tracing on, every parallel_for
-  // shows up as a "pool.sweep" bar on each participating thread's track.
-  EMBER_OBS_SPAN("pool.sweep", "pool");
-  WallTimer timer;
+  // One timed scope per worker per sweep: its busy seconds, and with
+  // tracing on a "pool.sweep" bar on the worker's track, from one pair of
+  // clock readings.
+  obs::ScopedSpan span("pool.sweep", "pool", &busy_seconds_[tid]);
   // Static round-robin chunk map: chunk c -> worker c % nthreads, chunks
   // ascending per worker. Depends only on the job geometry, so the work
   // (and thus each worker's accumulation order) is schedule-independent.
@@ -49,14 +48,11 @@ void ThreadPool::run_chunks(int tid, const Sweep& sweep) {
     const int e = std::min(sweep.end, b + sweep.grain);
     (*sweep.fn)(tid, b, e);
   }
-  busy_seconds_[tid] += timer.seconds();
 }
 
 void ThreadPool::worker_loop(int tid) {
-#if !defined(EMBER_OBS_DISABLED)
   obs::TraceSession::global().set_thread_name("pool-worker-" +
                                               std::to_string(tid));
-#endif
   std::uint64_t seen = 0;
   for (;;) {
     Sweep sweep;
@@ -83,10 +79,8 @@ void ThreadPool::parallel_for(int begin, int end, int grain,
   if (end <= begin) return;
   const int n = end - begin;
   if (nthreads_ == 1) {
-    // Serial pool: the untouched seed path, one chunk, no threads.
-    WallTimer timer;
-    fn(0, begin, end);
-    busy_seconds_[0] += timer.seconds();
+    // Serial pool: one chunk on the calling thread, no threads.
+    run_chunks(0, Sweep{&fn, begin, end, n, 1});
     return;
   }
   if (grain <= 0) grain = (n + nthreads_ - 1) / nthreads_;

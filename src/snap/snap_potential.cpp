@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <type_traits>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -227,8 +227,8 @@ SnapPotential::SnapPotential(SnapModel model, Path path)
 }
 
 namespace {
-// Kernel-stage counters, populated only while obs::kernel_timing_enabled()
-// ("trace on"); one clock per stage.
+// Kernel-stage counters, always on: each atom block reads the clock four
+// times, and adjacent stages share their boundary reading.
 struct SnapStageMetrics {
   obs::Counter& ui_seconds;
   obs::Counter& yi_seconds;
@@ -266,14 +266,10 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
     Bispectrum& bi = sc.bi;
     const std::span<Vec3> f = tid == 0 ? std::span<Vec3>(sys.f)
                                        : std::span<Vec3>(s.f);
-    // Stage timing is opt-in ("trace on" / set_kernel_timing): the flag is
-    // read once per chunk, stage seconds accumulate in chunk-local doubles
-    // and hit the sharded counters once per chunk, so the cost when off is
-    // a single branch per stage.
-    const bool detail = obs::kernel_timing_enabled();
-    double ui_s = 0.0, yi_s = 0.0, dei_s = 0.0;
+    // Stage nanoseconds accumulate chunk-locally and hit the sharded
+    // counters once per chunk.
+    std::int64_t ui_ns = 0, yi_ns = 0, dei_ns = 0;
     long atoms = 0, neighbors = 0;
-    WallTimer stage;
     // Linear adjoint models run Y over atom blocks, one atom per lane.
     // Quadratic models need each atom's own B before its Y, and the
     // Baseline path has no Y, so both run one atom at a time.
@@ -296,16 +292,13 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
         neighbors += static_cast<long>(sc.rij[a].size());
       }
 
-      if (detail) stage.reset();
+      const std::int64_t t0 = obs::now_ns();
       for (int a = 0; a < na; ++a) {
         // The per-atom form also fills utot(), which compute_zi reads.
         blocked ? bi.compute_ui(sc.rij[a], {}, a)
                 : bi.compute_ui(sc.rij[a], {});
       }
-      if (detail) {
-        ui_s += stage.seconds();
-        stage.reset();
-      }
+      const std::int64_t t1 = obs::now_ns();
       if (blocked) {
         // The per-triple coefficient fold was done once at construction.
         bi.compute_yi_block(y_coeff_);
@@ -321,10 +314,7 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
         model_.effective_beta(bi.blist(), sc.beta_eff);
         if (path_ == Path::Adjoint) bi.compute_yi(sc.beta_eff);
       }
-      if (detail) {
-        yi_s += stage.seconds();
-        stage.reset();
-      }
+      const std::int64_t t2 = obs::now_ns();
 
       for (int a = 0; a < na; ++a) {
         const int i = i0 + a;
@@ -350,17 +340,18 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
           s.virial += -dot(rij[m], de);
         }
       }
-      if (detail) dei_s += stage.seconds();
+      const std::int64_t t3 = obs::now_ns();
+      ui_ns += t1 - t0;
+      yi_ns += t2 - t1;
+      dei_ns += t3 - t2;
     }
 
-    if (detail) {
-      SnapStageMetrics& m = SnapStageMetrics::get();
-      m.ui_seconds.add(ui_s);
-      m.yi_seconds.add(yi_s);
-      m.dei_seconds.add(dei_s);
-      m.atoms.add(static_cast<double>(atoms));
-      m.neighbors.add(static_cast<double>(neighbors));
-    }
+    SnapStageMetrics& m = SnapStageMetrics::get();
+    m.ui_seconds.add(1e-9 * static_cast<double>(ui_ns));
+    m.yi_seconds.add(1e-9 * static_cast<double>(yi_ns));
+    m.dei_seconds.add(1e-9 * static_cast<double>(dei_ns));
+    m.atoms.add(static_cast<double>(atoms));
+    m.neighbors.add(static_cast<double>(neighbors));
   });
 
   ctx.merge_forces(sys);

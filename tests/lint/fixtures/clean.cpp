@@ -66,6 +66,19 @@ int span_block_ok() {
   return result;
 }
 
+// Timed-scope block without an early return is fine.
+namespace obs {
+struct ScopedSpan { ScopedSpan(const char*, const char*, double*) {} };
+}  // namespace obs
+int timed_scope_block_ok(double* bucket) {
+  int result = 0;
+  {
+    obs::ScopedSpan stage("force", "pair", bucket);
+    result = 42;
+  }
+  return result;
+}
+
 // Exhaustive TimerCategory switch without default.
 enum class TimerCategory { Pair, Neigh, Comm, Other, Dump };
 int exhaustive(TimerCategory c) {

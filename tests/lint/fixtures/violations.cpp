@@ -71,4 +71,16 @@ int has_default(TimerCategory c) {
   }
 }
 
+// --- obs-span-early-return, timed scope (line 81) --------------------------
+namespace obs {
+struct ScopedSpan { ScopedSpan(const char*, const char*, double*) {} };
+}  // namespace obs
+int early_return_in_timed_scope(bool flag, double* bucket) {
+  {
+    obs::ScopedSpan stage("force", "pair", bucket);
+    if (flag) return 1;
+  }
+  return 0;
+}
+
 }  // namespace fixture

@@ -46,6 +46,7 @@ class EmberLintSelfTest(unittest.TestCase):
             (48, "obs-span-early-return"),
             (56, "timer-switch-exhaustive"),
             (64, "timer-switch-exhaustive"),
+            (81, "obs-span-early-return"),
         ]
         self.assertEqual(findings, expected)
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,7 +143,6 @@ TEST(StepLoopTimers, Fig4LabelsMapTheCanonicalCategories) {
 
 // ---- span instrumentation of the pipeline ---------------------------------
 
-#if !defined(EMBER_OBS_DISABLED)
 TEST(StepLoopTrace, EveryStageEmitsExactlyOneSpanPerStep) {
   Simulation sim(make_argon(3, 40.0, 77), lj(), 0.002, 0.4, 5,
                  ExecutionPolicy{2});
@@ -189,7 +191,154 @@ TEST(StepLoopTrace, EveryStageEmitsExactlyOneSpanPerStep) {
   EXPECT_GE(pool_tids, 2);
   session.clear();
 }
-#endif  // !EMBER_OBS_DISABLED
+
+// ---- one clock per timed scope ---------------------------------------------
+
+// The stage spans whose timed scopes feed each TimerCategory's bucket.
+std::vector<std::string> stage_spans(TimerCategory c) {
+  switch (c) {
+    case TimerCategory::Pair: return {"force"};
+    case TimerCategory::Neigh: return {"neigh.rebuild"};
+    case TimerCategory::Comm:
+      return {"exchange", "forward", "reverse", "comm.rebuild_check"};
+    case TimerCategory::Other: return {"integrate.initial", "integrate.final"};
+    case TimerCategory::Dump:
+      return {"dump", "checkpoint", "checkpoint.drain"};
+  }
+  return {};
+}
+
+// Every bucket total equals the summed durations of its stage spans on
+// thread `tid`, to within 1 ns per span (rounding only). Drivers that do
+// not communicate still trace the comm stages but must leave Comm at 0.
+void expect_buckets_are_spans(const TimerSet& timers,
+                              const std::vector<obs::SpanEvent>& events,
+                              int tid, bool communicates) {
+  for (const TimerCategory c : kTimerCategories) {
+    const std::vector<std::string> names = stage_spans(c);
+    std::int64_t ns = 0;
+    long spans = 0;
+    for (const auto& e : events) {
+      if (e.tid != tid) continue;
+      if (std::find(names.begin(), names.end(), e.name) == names.end()) {
+        continue;
+      }
+      ns += e.dur_ns;
+      ++spans;
+    }
+    if (c == TimerCategory::Comm && !communicates) {
+      EXPECT_GT(spans, 0);
+      EXPECT_EQ(timers.total(c), 0.0);
+      continue;
+    }
+    EXPECT_NEAR(timers.total(c), 1e-9 * static_cast<double>(ns),
+                1e-9 * static_cast<double>(std::max(spans, 1L)))
+        << timer_category_name(c) << " over " << spans << " spans";
+  }
+}
+
+// Each pool worker's busy seconds equal its pool.sweep spans since
+// `since_ns`; worker w runs on trace thread tids[w].
+void expect_pool_seconds_are_spans(std::span<const double> busy,
+                                   const std::vector<obs::SpanEvent>& events,
+                                   const std::vector<int>& tids,
+                                   std::int64_t since_ns) {
+  ASSERT_EQ(tids.size(), busy.size());
+  for (std::size_t w = 0; w < busy.size(); ++w) {
+    std::int64_t ns = 0;
+    long spans = 0;
+    for (const auto& e : events) {
+      if (e.tid != tids[w] || e.start_ns < since_ns ||
+          std::string(e.name) != "pool.sweep") {
+        continue;
+      }
+      ns += e.dur_ns;
+      ++spans;
+    }
+    EXPECT_GT(spans, 0) << "worker " << w;
+    EXPECT_NEAR(busy[w], 1e-9 * static_cast<double>(ns),
+                1e-9 * static_cast<double>(std::max(spans, 1L)))
+        << "worker " << w << " over " << spans << " sweeps";
+  }
+}
+
+TEST(StepLoopTrace, TimersAndPoolSecondsAreTheirSpans) {
+  const std::string dump = "/tmp/ember_steploop_one_clock.xyz";
+  const std::string ckpt = "/tmp/ember_steploop_one_clock.bin";
+  auto& session = obs::TraceSession::global();
+  session.clear();
+  session.start();
+  Simulation sim(make_argon(3, 40.0, 77), lj(), 0.002, 0.4, 5,
+                 ExecutionPolicy{2});
+  IoPlan plan;
+  plan.dump_every = 5;
+  plan.dump_path = dump;
+  plan.checkpoint_every = 10;
+  plan.checkpoint_path = ckpt;
+  sim.set_io_plan(plan);
+  sim.run(20);
+  session.stop();
+  const std::vector<obs::SpanEvent> events = session.snapshot();
+  session.clear();
+  std::remove(dump.c_str());
+  std::remove(ckpt.c_str());
+
+  // The stage spans run on the calling thread; the pool's sums restart at
+  // the last force stage.
+  const obs::SpanEvent* last_force = nullptr;
+  for (const auto& e : events) {
+    if (std::string(e.name) == "force") last_force = &e;
+  }
+  ASSERT_NE(last_force, nullptr);
+  EXPECT_GT(sim.timers().total(TimerCategory::Dump), 0.0);
+  expect_buckets_are_spans(sim.timers(), events, last_force->tid,
+                           /*communicates=*/false);
+  std::vector<int> workers{last_force->tid};  // worker 0: the caller
+  for (const auto& e : events) {
+    if (std::string(e.name) == "pool.sweep" && e.tid != workers[0]) {
+      workers.push_back(e.tid);
+      break;
+    }
+  }
+  expect_pool_seconds_are_spans(sim.context().pool().thread_seconds(), events,
+                                workers, last_force->start_ns);
+}
+
+TEST(StepLoopTrace, RankTimersAndPoolSecondsAreTheirSpans) {
+  constexpr int kRanks = 2;
+  const System init = make_argon(4, 40.0, 78);
+  std::vector<TimerSet> timers(kRanks);
+  std::vector<std::vector<double>> busy(kRanks);
+  auto& session = obs::TraceSession::global();
+  session.clear();
+  session.start();
+  comm::test::make(comm::TransportKind::Thread, kRanks)
+      ->run([&](comm::Transport& c) {
+    // Marks this rank's thread in the trace.
+    { obs::ScopedSpan mark("rank", "test", nullptr, "rank", c.rank()); }
+    parallel::ParallelSimulation psim(c, init, lj(), 0.002, 0.4, 19);
+    psim.run(20);
+    timers[c.rank()] = psim.timers();
+    const auto seconds = psim.context().pool().thread_seconds();
+    busy[c.rank()].assign(seconds.begin(), seconds.end());
+  });
+  session.stop();
+  const std::vector<obs::SpanEvent> events = session.snapshot();
+  session.clear();
+
+  int ranks_seen = 0;
+  for (const auto& e : events) {
+    if (std::string(e.name) != "rank") continue;
+    ++ranks_seen;
+    SCOPED_TRACE("rank " + std::to_string(e.arg_val));
+    const TimerSet& t = timers[e.arg_val];
+    EXPECT_GT(t.total(TimerCategory::Comm), 0.0);
+    expect_buckets_are_spans(t, events, e.tid, /*communicates=*/true);
+    // A serial pool never resets: every sweep on the rank's thread counts.
+    expect_pool_seconds_are_spans(busy[e.arg_val], events, {e.tid}, 0);
+  }
+  EXPECT_EQ(ranks_seen, kRanks);
+}
 
 // ---- checkpoint round-trips through the stage hook ------------------------
 

@@ -72,7 +72,7 @@ TEST_F(ObsTrace, SpansCarryTheIntegerArgument) {
   auto& session = TraceSession::global();
   session.start();
   {
-    ScopedSpan s("step", "step", "step", 42);
+    ScopedSpan s("step", "step", nullptr, "step", 42);
   }
   session.stop();
   const auto events = session.snapshot();
@@ -115,7 +115,7 @@ TEST_F(ObsTrace, ChromeTraceExportIsValidJson) {
   auto& session = TraceSession::global();
   session.start();
   {
-    ScopedSpan outer("phase", "test", "step", 7);
+    ScopedSpan outer("phase", "test", nullptr, "step", 7);
     ScopedSpan inner("kernel", "test");
   }
   session.stop();
@@ -141,14 +141,6 @@ TEST_F(ObsTrace, ClearDropsEventsButKeepsRecordingAbility) {
   session.stop();
   EXPECT_EQ(session.count("before"), 0);
   EXPECT_EQ(session.count("after"), 1);
-}
-
-TEST_F(ObsTrace, KernelTimingFlagRoundTrips) {
-  EXPECT_FALSE(kernel_timing_enabled());
-  set_kernel_timing(true);
-  EXPECT_TRUE(kernel_timing_enabled());
-  set_kernel_timing(false);
-  EXPECT_FALSE(kernel_timing_enabled());
 }
 
 }  // namespace

@@ -13,6 +13,9 @@
 #include "common/rng.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "simd_env.hpp"
 #include "snap/snap_potential.hpp"
 
 namespace ember::snap {
@@ -422,6 +425,37 @@ TEST(SnapQuadratic, ReducesToLinearWhenAlphaZero) {
   for (std::size_t i = 0; i < fq.size(); ++i) {
     EXPECT_NEAR(fq[i].x, fl[i].x, 1e-12);
     EXPECT_NEAR(fq[i].z, fl[i].z, 1e-12);
+  }
+}
+
+// The ui/yi/dei clocks are always on: with tracing off, every compute at
+// width 1 and at the host's widest lanes raises each stage's seconds, and
+// snap.atoms counts each local atom once per call.
+TEST(SnapStageCounters, RiseOnEveryUntracedCompute) {
+  ASSERT_FALSE(obs::TraceSession::global().enabled());
+  auto& reg = obs::Registry::global();
+  const char* const kCounters[] = {"snap.ui_seconds", "snap.yi_seconds",
+                                   "snap.dei_seconds", "snap.atoms"};
+  for (const simd::SimdIsa isa :
+       {simd::SimdIsa::Scalar, simd::max_supported_isa()}) {
+    ScopedSimdEnv env(simd::to_string(isa));
+    SnapPotential pot(tiny_model(6, 3));
+    md::System sys = perturbed_diamond(2, 0.05, 9);
+    md::NeighborList nl(pot.cutoff(), 0.3);
+    nl.build(sys);
+    for (int call = 0; call < 2; ++call) {
+      double before[4];
+      for (int c = 0; c < 4; ++c) before[c] = reg.counter(kCounters[c]).value();
+      sys.zero_forces();
+      pot.compute(sys, nl);
+      for (int c = 0; c < 3; ++c) {
+        EXPECT_GT(reg.counter(kCounters[c]).value(), before[c])
+            << kCounters[c] << " at " << simd::to_string(isa);
+      }
+      EXPECT_EQ(reg.counter("snap.atoms").value() - before[3],
+                static_cast<double>(sys.nlocal()))
+          << simd::to_string(isa);
+    }
   }
 }
 
