@@ -10,18 +10,19 @@ matcher language cannot express either:
   collective-symmetry
       Transport collectives (barrier / allreduce_* / broadcast /
       gather* / run_gather / global_state) are rendezvous points: every
-      rank must reach the same sequence or the mesh deadlocks. In
-      driver code (StepStages overrides, comm-farm loops — anything
-      outside src/comm/ that talks to a Transport) two shapes break
-      that symmetry and both are flagged:
+      rank must reach the same sequence or the mesh deadlocks. In any
+      file that talks to a Transport (StepStages overrides, comm-farm
+      loops, and src/comm/ itself) two shapes break that symmetry and
+      both are flagged:
         (a) a conditional early `return` lexically before a later
             collective in the same function — a rank that takes the
             branch never shows up at the rendezvous;
         (b) a collective nested under a rank-dependent condition
             (`rank`, `rank_`, `rank()`, `is_root`) — only some ranks
             enter the call at all.
-      src/comm/ itself is exempt: the backends implement collectives
-      out of rank-asymmetric parts (rank-0 orchestration) by design.
+      There is no path exemption: the Transport base builds the
+      collectives from point-to-point legs, which the rule does not
+      treat as rendezvous points.
   blocking-under-lock
       While a lock scope (ember::LockGuard, std::lock_guard /
       unique_lock / scoped_lock) is open, no call that can block on
@@ -315,7 +316,7 @@ RETURN_RE = re.compile(r"\breturn\b")
 
 # The rule applies to code that talks to a Transport / comm Context;
 # pure compute files (e.g. the SIMD kernels' V::broadcast) are out of
-# scope by this gate, and src/comm/ backends are out of scope by path.
+# scope by this gate.
 COMM_SCOPED_RE = re.compile(r"\bcomm::|Transport\s*&|\bcomm_\b")
 
 
@@ -332,9 +333,6 @@ def _cond_chain(block: Block | None, fn: Block) -> list[Block]:
 
 
 def check_collective_symmetry(path, raw_lines, code, findings):
-    posix = path.as_posix()
-    if "src/comm/" in posix or posix.startswith("src/comm"):
-        return
     if not COMM_SCOPED_RE.search(code):
         return
     blocks = parse_blocks(code)

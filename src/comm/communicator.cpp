@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -55,7 +54,7 @@ void ThreadTransport::do_send_bytes(int dest, int tag, const void* data,
     LockGuard lock(mb.mutex);
     mb.from[rank_].push_back(std::move(msg));
   }
-  mb.cv.notify_all();
+  mb.cv.notify_one();
 }
 
 std::vector<std::byte> ThreadTransport::do_recv_bytes(int source, int tag) {
@@ -97,65 +96,6 @@ std::pair<int, std::vector<std::byte>> ThreadTransport::do_recv_bytes_any(
     mb.cv.wait(mb.mutex);
   }
 }
-
-void ThreadTransport::do_barrier() {
-  LockGuard lock(world_.barrier_mutex_);
-  const long gen = world_.barrier_generation_;
-  if (++world_.barrier_count_ == world_.size_) {
-    world_.barrier_count_ = 0;
-    ++world_.barrier_generation_;
-    world_.barrier_cv_.notify_all();
-  } else {
-    while (world_.barrier_generation_ == gen) {
-      world_.barrier_cv_.wait(world_.barrier_mutex_);
-    }
-  }
-}
-
-// Reduction skeleton: accumulate under the lock; the last rank to arrive
-// publishes the result and bumps the generation. Correctness of result
-// lifetime: the next reduction can only overwrite result_field after all
-// ranks enter it, which requires all ranks to have returned (and thus
-// read the result) from this one.
-#define EMBER_REDUCE_BODY(scratch_field, result_field, op_expr, init_value) \
-  LockGuard lock(world_.reduce_mutex_);                                     \
-  const long gen = world_.reduce_generation_;                               \
-  if (world_.reduce_count_ == 0) world_.scratch_field = (init_value);       \
-  world_.scratch_field = (op_expr);                                         \
-  if (++world_.reduce_count_ == world_.size_) {                             \
-    world_.result_field = world_.scratch_field;                             \
-    world_.reduce_count_ = 0;                                               \
-    ++world_.reduce_generation_;                                            \
-    world_.reduce_cv_.notify_all();                                         \
-  } else {                                                                  \
-    while (world_.reduce_generation_ == gen) {                              \
-      world_.reduce_cv_.wait(world_.reduce_mutex_);                         \
-    }                                                                       \
-  }                                                                         \
-  return world_.result_field;
-
-double ThreadTransport::do_allreduce_sum(double value) {
-  EMBER_REDUCE_BODY(reduce_double_, reduce_result_double_,
-                    world_.reduce_double_ + value, 0.0)
-}
-
-long ThreadTransport::do_allreduce_sum(long value) {
-  EMBER_REDUCE_BODY(reduce_long_, reduce_result_long_,
-                    world_.reduce_long_ + value, 0L)
-}
-
-double ThreadTransport::do_allreduce_max(double value) {
-  EMBER_REDUCE_BODY(reduce_double_, reduce_result_double_,
-                    std::max(world_.reduce_double_, value),
-                    -std::numeric_limits<double>::infinity())
-}
-
-bool ThreadTransport::do_allreduce_or(bool value) {
-  EMBER_REDUCE_BODY(reduce_bool_, reduce_result_bool_,
-                    world_.reduce_bool_ || value, false)
-}
-
-#undef EMBER_REDUCE_BODY
 
 std::vector<std::byte> ThreadContext::run_gather(
     const std::function<std::vector<std::byte>(Transport&)>& fn) {

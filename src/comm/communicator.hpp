@@ -5,7 +5,9 @@
 // A World hosts N ranks; each rank executes the same function on its own
 // thread and communicates through mailboxes (mutex + condition variable
 // per destination). Deterministic given deterministic rank programs:
-// recv matches (source, tag) exactly, so no wildcard races exist.
+// recv matches (source, tag) exactly, so no wildcard races exist. The
+// backend implements point-to-point only; barrier and the reductions
+// are the Transport base's, carried by these same mailboxes.
 //
 // This is the fast in-node path behind the comm::Transport interface
 // (comm/transport.hpp); the multi-process path is SocketTransport. This
@@ -46,16 +48,14 @@ class ThreadTransport final : public Transport {
                                                      int tag) override;
   [[nodiscard]] std::pair<int, std::vector<std::byte>> do_recv_bytes_any(
       int tag) override;
-  void do_barrier() override;
-  double do_allreduce_sum(double value) override;
-  long do_allreduce_sum(long value) override;
-  double do_allreduce_max(double value) override;
-  bool do_allreduce_or(bool value) override;
 
   World& world_;
   int rank_;
 };
 
+// The ranks' shared state: one mailbox per rank, nothing else. Only the
+// owning rank's thread ever waits on a mailbox's cv (both receives wait
+// on the receiver's own mailbox), so a send wakes it with notify_one.
 class World {
  public:
   explicit World(int size);
@@ -87,24 +87,6 @@ class World {
   // rank thread exists and never change: immutable topology, no guard.
   int size_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-
-  // Barrier state (central counter, generation-stamped).
-  Mutex barrier_mutex_;
-  CondVar barrier_cv_;
-  int barrier_count_ EMBER_GUARDED_BY(barrier_mutex_) = 0;
-  long barrier_generation_ EMBER_GUARDED_BY(barrier_mutex_) = 0;
-
-  // Reduction scratch (protected by barrier-style phases).
-  Mutex reduce_mutex_;
-  CondVar reduce_cv_;
-  double reduce_double_ EMBER_GUARDED_BY(reduce_mutex_) = 0.0;
-  long reduce_long_ EMBER_GUARDED_BY(reduce_mutex_) = 0;
-  bool reduce_bool_ EMBER_GUARDED_BY(reduce_mutex_) = false;
-  int reduce_count_ EMBER_GUARDED_BY(reduce_mutex_) = 0;
-  long reduce_generation_ EMBER_GUARDED_BY(reduce_mutex_) = 0;
-  double reduce_result_double_ EMBER_GUARDED_BY(reduce_mutex_) = 0.0;
-  long reduce_result_long_ EMBER_GUARDED_BY(reduce_mutex_) = 0;
-  bool reduce_result_bool_ EMBER_GUARDED_BY(reduce_mutex_) = false;
 };
 
 class ThreadContext final : public Context {

@@ -22,12 +22,6 @@ namespace ember::comm {
 
 namespace {
 
-// Internal protocol tags. User traffic and the generic gather/broadcast
-// in the Transport base use tags >= -102; these never collide.
-constexpr int kTagBarrier = -103;
-constexpr int kTagReduce = -104;
-constexpr int kTagReduceResult = -105;
-
 // Control-channel frame tags (child -> launcher).
 constexpr int kCtlError = -201;
 constexpr int kCtlStats = -202;
@@ -176,8 +170,8 @@ void SocketTransport::write_all(int dest, const void* data,
   }
 }
 
-void SocketTransport::raw_send(int dest, int tag, const void* data,
-                               std::size_t bytes) {
+void SocketTransport::do_send_bytes(int dest, int tag, const void* data,
+                                    std::size_t bytes) {
   EMBER_REQUIRE(dest >= 0 && dest < size(), "invalid destination");
   if (dest == rank_) {
     wire::Frame frame;
@@ -197,7 +191,7 @@ void SocketTransport::raw_send(int dest, int tag, const void* data,
   if (bytes > 0) write_all(dest, data, bytes);
 }
 
-wire::Frame SocketTransport::raw_recv(int source, int tag) {
+std::vector<std::byte> SocketTransport::do_recv_bytes(int source, int tag) {
   EMBER_REQUIRE(source >= 0 && source < size(), "invalid source");
   for (;;) {
     auto& queue = pending_[static_cast<std::size_t>(source)];
@@ -205,9 +199,9 @@ wire::Frame SocketTransport::raw_recv(int source, int tag) {
         queue.begin(), queue.end(),
         [tag](const wire::Frame& f) { return f.tag == tag; });
     if (it != queue.end()) {
-      wire::Frame frame = std::move(*it);
+      auto payload = std::move(it->payload);
       queue.erase(it);
-      return frame;
+      return payload;
     }
     if (source == rank_) {
       EMBER_REQUIRE(false, "self receive with no matching self send");
@@ -217,15 +211,6 @@ wire::Frame SocketTransport::raw_recv(int source, int tag) {
     }
     progress_wait(-1);
   }
-}
-
-void SocketTransport::do_send_bytes(int dest, int tag, const void* data,
-                                    std::size_t bytes) {
-  raw_send(dest, tag, data, bytes);
-}
-
-std::vector<std::byte> SocketTransport::do_recv_bytes(int source, int tag) {
-  return std::move(raw_recv(source, tag).payload);
 }
 
 std::pair<int, std::vector<std::byte>> SocketTransport::do_recv_bytes_any(
@@ -254,52 +239,6 @@ std::pair<int, std::vector<std::byte>> SocketTransport::do_recv_bytes_any(
     }
     progress_wait(-1);
   }
-}
-
-void SocketTransport::do_barrier() {
-  if (size() == 1) return;
-  if (rank_ == 0) {
-    for (int r = 1; r < size(); ++r) (void)raw_recv(r, kTagBarrier);
-    for (int r = 1; r < size(); ++r) raw_send(r, kTagBarrier, nullptr, 0);
-  } else {
-    raw_send(0, kTagBarrier, nullptr, 0);
-    (void)raw_recv(0, kTagBarrier);
-  }
-}
-
-template <typename T, typename Op>
-T SocketTransport::orchestrated_allreduce(T value, Op op) {
-  if (size() == 1) return value;
-  if (rank_ == 0) {
-    T acc = value;
-    for (int r = 1; r < size(); ++r) {
-      acc = op(acc, from_bytes<T>(raw_recv(r, kTagReduce).payload));
-    }
-    for (int r = 1; r < size(); ++r) {
-      raw_send(r, kTagReduceResult, &acc, sizeof(T));
-    }
-    return acc;
-  }
-  raw_send(0, kTagReduce, &value, sizeof(T));
-  return from_bytes<T>(raw_recv(0, kTagReduceResult).payload);
-}
-
-double SocketTransport::do_allreduce_sum(double value) {
-  return orchestrated_allreduce(value,
-                                [](double a, double b) { return a + b; });
-}
-
-long SocketTransport::do_allreduce_sum(long value) {
-  return orchestrated_allreduce(value, [](long a, long b) { return a + b; });
-}
-
-double SocketTransport::do_allreduce_max(double value) {
-  return orchestrated_allreduce(
-      value, [](double a, double b) { return std::max(a, b); });
-}
-
-bool SocketTransport::do_allreduce_or(bool value) {
-  return orchestrated_allreduce(value, [](bool a, bool b) { return a || b; });
 }
 
 // ---- SocketContext --------------------------------------------------------

@@ -15,10 +15,10 @@
 // which cascades until every survivor exits, so a killed rank yields a
 // clean launcher-side Error rather than a hang.
 //
-// Collectives are rank-0 orchestrated over internal frames (negative
-// tags) that bypass the Transport base counting shell, so thread and
-// socket runs of the same program report identical comm.messages /
-// comm.bytes.
+// The backend implements point-to-point only; the collectives are the
+// Transport base's (rank-0 rooted, over these same frames, uncounted),
+// so thread and socket runs of the same program fold reductions in the
+// same order and report identical comm.messages / comm.bytes.
 //
 // This header is private to src/comm — drivers obtain ranks through
 // comm::make_context (ember_lint's comm-backend-include rule enforces
@@ -56,18 +56,6 @@ class SocketTransport final : public Transport {
                                                      int tag) override;
   [[nodiscard]] std::pair<int, std::vector<std::byte>> do_recv_bytes_any(
       int tag) override;
-  void do_barrier() override;
-  double do_allreduce_sum(double value) override;
-  long do_allreduce_sum(long value) override;
-  double do_allreduce_max(double value) override;
-  bool do_allreduce_or(bool value) override;
-
-  // Uncounted frame primitives shared by user traffic (via do_*) and the
-  // internal collective protocol.
-  void raw_send(int dest, int tag, const void* data, std::size_t bytes);
-  [[nodiscard]] wire::Frame raw_recv(int source, int tag);
-  template <typename T, typename Op>
-  [[nodiscard]] T orchestrated_allreduce(T value, Op op);
 
   // Nonblocking write loop that keeps the receive side progressing while
   // the peer's buffer is full (both-sides-sending deadlock avoidance).

@@ -1,5 +1,6 @@
 #include "transport.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "comm/communicator.hpp"
@@ -10,10 +11,13 @@
 namespace ember::comm {
 
 namespace {
-// Internal tags for the collectives built on point-to-point (user code
-// should use non-negative tags).
+// Internal tags of the collectives' frames (user code uses
+// non-negative tags).
 constexpr int kTagGather = -101;
 constexpr int kTagBcast = -102;
+constexpr int kTagBarrier = -103;
+constexpr int kTagReduce = -104;
+constexpr int kTagReduceResult = -105;
 
 // Process-global traffic counters. Registered once; per-call cost is one
 // sharded relaxed fetch_add each. Both backends feed the same names, so
@@ -85,63 +89,83 @@ std::pair<int, std::vector<std::byte>> Transport::recv_bytes_any(int tag) {
   return out;
 }
 
+std::vector<std::vector<std::byte>> Transport::to_root(int root, int tag,
+                                                      const void* data,
+                                                      std::size_t bytes) {
+  if (rank() != root) {
+    do_send_bytes(root, tag, data, bytes);
+    return {};
+  }
+  std::vector<std::vector<std::byte>> frames(static_cast<std::size_t>(size()));
+  for (int r = 0; r < size(); ++r) {
+    if (r != root) frames[static_cast<std::size_t>(r)] = do_recv_bytes(r, tag);
+  }
+  const auto* own = static_cast<const std::byte*>(data);
+  frames[static_cast<std::size_t>(root)].assign(own, own + bytes);
+  return frames;
+}
+
+std::vector<std::byte> Transport::from_root(int root, int tag,
+                                            const void* data,
+                                            std::size_t bytes) {
+  if (rank() != root) return do_recv_bytes(root, tag);
+  for (int r = 0; r < size(); ++r) {
+    if (r != root) do_send_bytes(r, tag, data, bytes);
+  }
+  const auto* own = static_cast<const std::byte*>(data);
+  return {own, own + bytes};
+}
+
+template <typename T, typename Op>
+T Transport::allreduce(T value, Op op) {
+  WallTimer timer;
+  const auto frames = to_root(0, kTagReduce, &value, sizeof(T));
+  for (std::size_t r = 1; r < frames.size(); ++r) {
+    value = op(value, from_bytes<T>(frames[r]));
+  }
+  value = from_bytes<T>(from_root(0, kTagReduceResult, &value, sizeof(T)));
+  comm_seconds_ += timer.seconds();
+  return value;
+}
+
 void Transport::barrier() {
   WallTimer timer;
-  do_barrier();
+  (void)to_root(0, kTagBarrier, nullptr, 0);
+  (void)from_root(0, kTagBarrier, nullptr, 0);
   comm_seconds_ += timer.seconds();
 }
 
 double Transport::allreduce_sum(double value) {
-  WallTimer timer;
-  const double out = do_allreduce_sum(value);
-  comm_seconds_ += timer.seconds();
-  return out;
+  return allreduce(value, [](double a, double b) { return a + b; });
 }
 
 long Transport::allreduce_sum(long value) {
-  WallTimer timer;
-  const long out = do_allreduce_sum(value);
-  comm_seconds_ += timer.seconds();
-  return out;
+  return allreduce(value, [](long a, long b) { return a + b; });
 }
 
 double Transport::allreduce_max(double value) {
-  WallTimer timer;
-  const double out = do_allreduce_max(value);
-  comm_seconds_ += timer.seconds();
-  return out;
+  return allreduce(value, [](double a, double b) { return std::max(a, b); });
 }
 
 bool Transport::allreduce_or(bool value) {
+  return allreduce(value, [](bool a, bool b) { return a || b; });
+}
+
+std::vector<double> Transport::gather(double value, int root) {
   WallTimer timer;
-  const bool out = do_allreduce_or(value);
+  std::vector<double> out;
+  for (const auto& frame : to_root(root, kTagGather, &value, sizeof(value))) {
+    out.push_back(from_bytes<double>(frame));
+  }
   comm_seconds_ += timer.seconds();
   return out;
 }
 
-std::vector<double> Transport::gather(double value, int root) {
-  if (rank() == root) {
-    std::vector<double> out(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(root)] = value;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      out[static_cast<std::size_t>(r)] = recv_value<double>(r, kTagGather);
-    }
-    return out;
-  }
-  send_value(root, kTagGather, value);
-  return {};
-}
-
 double Transport::broadcast(double value, int root) {
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      send_value(r, kTagBcast, value);
-    }
-    return value;
-  }
-  return recv_value<double>(root, kTagBcast);
+  WallTimer timer;
+  value = from_bytes<double>(from_root(root, kTagBcast, &value, sizeof(value)));
+  comm_seconds_ += timer.seconds();
+  return value;
 }
 
 // ---- Context --------------------------------------------------------------

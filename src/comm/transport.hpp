@@ -13,8 +13,15 @@
 //   SocketTransport  (comm/socket_transport.hpp)  ranks are forked OS
 //       processes connected by a full mesh of local stream sockets with
 //       a length-prefixed wire format — the real multi-process scaling
-//       path of the paper's Figs. 3–5, with rank-0 orchestrated
-//       collectives and error propagation through a control channel.
+//       path of the paper's Figs. 3–5, with error propagation through a
+//       control channel.
+//
+// A backend supplies only the three byte-level point-to-point
+// primitives (do_send_bytes / do_recv_bytes / do_recv_bytes_any). The
+// collectives are written once, here in the base, over those
+// primitives: every non-root rank sends to the root, the root folds in
+// rank order 0, 1, …, n−1 and sends the result back, so a reduction
+// gives the same bits on every backend whatever order ranks arrive in.
 //
 // Backend headers are private to src/comm (enforced by ember_lint's
 // comm-backend-include rule); construction goes through
@@ -27,6 +34,7 @@
 // MPI): blocking tagged send/recv with exact (source, tag) matching and
 // per-source-per-tag FIFO order, collectives that every rank must enter,
 // and `comm_seconds()` accounting of time blocked in communication.
+// Negative tags are reserved for the collectives' internal frames.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,8 +85,9 @@ template <typename T>
 
 // One rank's endpoint. The public methods are non-virtual shells that
 // add the backend-independent bookkeeping — traffic metrics on send,
-// blocked-time accounting on recv and collectives, and the single typed
-// serialization layer — around the virtual do_* backend primitives.
+// blocked-time accounting on recv and collectives, the single typed
+// serialization layer and the collectives themselves — around the
+// virtual do_* backend primitives.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -132,14 +141,15 @@ class Transport {
   }
 
   // ---- collectives (all ranks must call) ----
+  // Their frames bypass the traffic counters: only user sends count
+  // toward comm.messages / comm.bytes. Reductions fold in rank order.
   void barrier();
   double allreduce_sum(double value);
   long allreduce_sum(long value);
   double allreduce_max(double value);
   bool allreduce_or(bool value);
   // Gather one double per rank to root (result valid on root only) and
-  // broadcast from root: implemented once, over the typed point-to-point
-  // layer, so both backends behave (and count traffic) identically.
+  // broadcast from root.
   [[nodiscard]] std::vector<double> gather(double value, int root = 0);
   double broadcast(double value, int root = 0);
 
@@ -159,24 +169,34 @@ class Transport {
  protected:
   Transport() = default;
 
+  // The backend primitives: blocking, uncounted, untimed, with exact
+  // (source, tag) matching and per-source FIFO order.
   virtual void do_send_bytes(int dest, int tag, const void* data,
                              std::size_t bytes) = 0;
   [[nodiscard]] virtual std::vector<std::byte> do_recv_bytes(int source,
                                                              int tag) = 0;
   [[nodiscard]] virtual std::pair<int, std::vector<std::byte>>
   do_recv_bytes_any(int tag) = 0;
-  virtual void do_barrier() = 0;
-  virtual double do_allreduce_sum(double value) = 0;
-  virtual long do_allreduce_sum(long value) = 0;
-  virtual double do_allreduce_max(double value) = 0;
-  virtual bool do_allreduce_or(bool value) = 0;
 
  private:
+  // The collective protocol's two legs. to_root: every other rank sends
+  // its frame to root, which receives them in rank order and returns
+  // all n frames indexed by rank (its own included); the others return
+  // none. from_root: root sends its frame to every other rank in rank
+  // order; every rank returns root's frame.
+  [[nodiscard]] std::vector<std::vector<std::byte>> to_root(
+      int root, int tag, const void* data, std::size_t bytes);
+  [[nodiscard]] std::vector<std::byte> from_root(int root, int tag,
+                                                 const void* data,
+                                                 std::size_t bytes);
+  template <typename T, typename Op>
+  [[nodiscard]] T allreduce(T value, Op op);
+
   // Thread-confinement contract (why these carry no GUARDED_BY): a
   // Transport is one rank's endpoint, and exactly one thread — that
   // rank's thread — ever calls into it. The shells below mutate these on
   // that thread only; cross-thread state lives behind do_* in the
-  // backend (World's guarded mailboxes / barrier / reduce scratch).
+  // backend (World's guarded mailboxes).
   // Sharing one Transport across threads is a contract violation, not a
   // supported-but-racy mode.
   double comm_seconds_ = 0.0;

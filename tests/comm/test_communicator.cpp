@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <thread>
 #include <tuple>
 
 #include "comm/transport.hpp"
@@ -166,6 +171,56 @@ TEST_P(CommCollectives, GatherAndBroadcast) {
   });
 }
 
+// A reduction's bits must not depend on which rank arrives first. Rank
+// 0 holds 1 and every other rank t, under half an ulp of 1: the rank-
+// order fold adds each t to 1 and rounds it away, while any order that
+// adds two ranks' t before rank 0's 1 keeps them. Ranks enter in
+// reverse (rank r sleeps in proportion to n-1-r), so a fold in arrival
+// order gives other bits.
+TEST_P(CommCollectives, AllreduceSumFoldsInRankOrderWhateverTheArrival) {
+  const int n = ranks();
+  const double t = 0.75 * std::ldexp(1.0, -53);
+  const auto value = [t](int rank) { return rank == 0 ? 1.0 : t; };
+  double rank_order = value(0);
+  for (int r = 1; r < n; ++r) rank_order += value(r);
+  double arrival_order = value(n - 1);
+  for (int r = n - 2; r >= 0; --r) arrival_order += value(r);
+  if (n >= 3) {
+    ASSERT_NE(std::bit_cast<std::uint64_t>(arrival_order),
+              std::bit_cast<std::uint64_t>(rank_order));
+  }
+  const auto ctx = make(kind(), n);
+  ctx->run([&](Transport& c) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5) *
+                                (c.size() - 1 - c.rank()));
+    const double sum = c.allreduce_sum(value(c.rank()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sum),
+              std::bit_cast<std::uint64_t>(rank_order))
+        << "rank " << c.rank() << " got " << sum;
+  });
+}
+
+// Barriers must synchronize ranks on either backend; without relying on
+// shared memory, prove it by bouncing a strictly-phased token through
+// rank 0.
+TEST_P(CommCollectives, BarrierOrdersPhases) {
+  const auto ctx = make(kind(), ranks());
+  ctx->run([](Transport& c) {
+    for (int phase = 0; phase < 5; ++phase) {
+      if (c.rank() != 0) c.send_value(0, 21, phase);
+      c.barrier();
+      if (c.rank() == 0) {
+        // Every rank's phase message must have arrived before the
+        // barrier released us.
+        for (int r = 1; r < c.size(); ++r) {
+          EXPECT_EQ(c.recv_value<int>(r, 21), phase);
+        }
+      }
+      c.barrier();
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Comm, CommCollectives,
     ::testing::Combine(::testing::ValuesIn(kBothKinds),
@@ -193,32 +248,6 @@ TEST_P(ThreadCollectives, BarrierSynchronizes) {
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, ThreadCollectives,
                          ::testing::Values(1, 2, 3, 4, 8));
-
-// Barriers must synchronize process-backed ranks too; without shared
-// memory, prove it by bouncing a strictly-phased token through rank 0.
-class SocketCollectives : public ::testing::TestWithParam<int> {};
-
-TEST_P(SocketCollectives, BarrierOrdersPhases) {
-  const int n = GetParam();
-  const auto ctx = make(TransportKind::Socket, n);
-  ctx->run([](Transport& c) {
-    for (int phase = 0; phase < 5; ++phase) {
-      if (c.rank() != 0) c.send_value(0, 21, phase);
-      c.barrier();
-      if (c.rank() == 0) {
-        // Every rank's phase message must have arrived before the
-        // barrier released us.
-        for (int r = 1; r < c.size(); ++r) {
-          EXPECT_EQ(c.recv_value<int>(r, 21), phase);
-        }
-      }
-      c.barrier();
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, SocketCollectives,
-                         ::testing::Values(2, 3, 4, 8));
 
 TEST(TransportSpecTest, KindParsingRoundTrips) {
   EXPECT_EQ(transport_kind_from_string("thread"), TransportKind::Thread);

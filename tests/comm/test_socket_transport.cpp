@@ -75,8 +75,8 @@ TEST(SocketTransport, ChildExpectFailureFailsTheRun) {
 TEST(SocketTransport, TrafficMetricsMatchThreadBackend) {
   // The same program must move the same comm.messages / comm.bytes on
   // either backend: user sends count once each, collectives count zero
-  // (shared-memory phases on one side, uncounted internal frames on the
-  // other). Socket children report their traffic over the control
+  // (the Transport base sends their frames past the counting shell on
+  // both). Socket children report their traffic over the control
   // channel and the launcher folds it into this process's registry.
   auto run_once = [](TransportKind kind) {
     auto& messages = obs::Registry::global().counter("comm.messages");
@@ -89,6 +89,8 @@ TEST(SocketTransport, TrafficMetricsMatchThreadBackend) {
       EXPECT_DOUBLE_EQ(c.recv_value<double>(1 - c.rank(), 4), 3.25);
       c.barrier();
       EXPECT_DOUBLE_EQ(c.allreduce_sum(1.0), 2.0);
+      EXPECT_DOUBLE_EQ(c.broadcast(c.rank() == 0 ? 5.0 : 0.0), 5.0);
+      (void)c.gather(1.0);
     });
     return std::pair<double, double>{messages.value() - m0,
                                      bytes.value() - b0};

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "comm/transport.hpp"
+#include "md/io.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
 #include "parallel/parallel_sim.hpp"
 #include "ref/pair_lj.hpp"
+#include "ref/pair_tersoff.hpp"
 #include "snap/snap_potential.hpp"
 #include "../comm/transport_test_util.hpp"
 
@@ -190,6 +195,67 @@ TEST(ParallelSnap, EnergyAndForcesMatchSerial) {
       EXPECT_NEAR(d.norm(), 0.0, 1e-8);
     }
   });
+}
+
+// The collectives fold in rank order on either backend, so the same
+// 4-rank run must give the same bits as threads or as processes: the
+// allreduced energies and every gathered position.
+TEST(ParallelTersoff, ThreadAndSocketRunsAreBitwiseIdentical) {
+  md::LatticeSpec spec;
+  spec.kind = md::LatticeKind::Diamond;
+  spec.a = 3.567;
+  spec.nx = spec.ny = spec.nz = 3;
+  md::System global = md::build_lattice(spec, 12.011);
+  Rng rng(41);
+  md::perturb(global, 0.05, rng);
+  global.thermalize(3000.0, rng);
+
+  // Rank 0 ships the global state followed by the gathered system.
+  const auto run = [&global](comm::TransportKind kind) {
+    return comm::test::make(kind, 4)->run_gather([&](comm::Transport& c) {
+      ParallelSimulation psim(c, global,
+                              std::make_shared<ref::PairTersoff>(), 5e-4,
+                              0.4, 41);
+      psim.run(40);
+      const GlobalState g = psim.global_state();
+      const md::System gathered = psim.gather_global();
+      if (c.rank() != 0) return std::vector<std::byte>{};
+      auto out = comm::to_bytes(g);
+      const auto sys = md::checkpoint_bytes(gathered);
+      out.insert(out.end(), sys.begin(), sys.end());
+      return out;
+    });
+  };
+  const auto thread_bytes = run(comm::TransportKind::Thread);
+  const auto socket_bytes = run(comm::TransportKind::Socket);
+  const auto state = [](const std::vector<std::byte>& b) {
+    return comm::from_bytes<GlobalState>(
+        {b.begin(), b.begin() + sizeof(GlobalState)});
+  };
+  const auto system = [](const std::vector<std::byte>& b) {
+    return md::system_from_checkpoint_bytes(
+        std::span(b).subspan(sizeof(GlobalState)));
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  const GlobalState gt = state(thread_bytes);
+  const GlobalState gs = state(socket_bytes);
+  EXPECT_EQ(gt.natoms, global.nlocal());
+  EXPECT_EQ(gs.natoms, gt.natoms);
+  EXPECT_EQ(bits(gs.potential_energy), bits(gt.potential_energy));
+  EXPECT_EQ(bits(gs.kinetic_energy), bits(gt.kinetic_energy));
+  EXPECT_EQ(bits(gs.temperature), bits(gt.temperature));
+  EXPECT_EQ(bits(gs.virial), bits(gt.virial));
+
+  const md::System st = system(thread_bytes);
+  const md::System ss = system(socket_bytes);
+  ASSERT_EQ(ss.nlocal(), st.nlocal());
+  for (int i = 0; i < st.nlocal(); ++i) {
+    ASSERT_EQ(ss.id[i], st.id[i]) << "index " << i;
+    EXPECT_EQ(bits(ss.x[i].x), bits(st.x[i].x)) << "atom " << st.id[i];
+    EXPECT_EQ(bits(ss.x[i].y), bits(st.x[i].y)) << "atom " << st.id[i];
+    EXPECT_EQ(bits(ss.x[i].z), bits(st.x[i].z)) << "atom " << st.id[i];
+  }
 }
 
 TEST(ParallelTimers, BreakdownCoversCategories) {
