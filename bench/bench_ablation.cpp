@@ -1,7 +1,6 @@
 // Ablation studies of the MD engine's design choices (DESIGN.md §4):
 //   (a) neighbor-list skin: rebuild frequency vs per-step list size;
-//   (b) SNAP execution path: adjoint vs baseline across 2J;
-//   (c) neighbor construction strategy: cell list vs brute force.
+//   (b) SNAP execution path: adjoint vs baseline across 2J.
 
 #include <cstdio>
 #include <memory>
@@ -27,8 +26,6 @@ int main() {
       md::System sys = md::build_lattice(spec, 39.948);
       Rng rng(1);
       sys.thermalize(200.0, rng);
-      // Short cutoff keeps every skin in the cell-list regime (the
-      // cell -> brute-force crossover is ablation (c)'s subject).
       md::Simulation sim(std::move(sys),
                          std::make_shared<ref::PairLJ>(0.0104, 3.4, 4.2),
                          0.003, skin, 1);
@@ -86,38 +83,6 @@ int main() {
     table.print();
     std::printf("\nThe adjoint advantage grows with 2J — the paper's O(J^5)\n"
                 "-> O(J^3) per-neighbor reduction at work.\n");
-  }
-
-  std::printf("\n== Ablation (c): cell list vs brute-force neighbors ==\n\n");
-  {
-    TextTable table({"Atoms", "Box/rlist", "Cell build [ms]",
-                     "Brute build [ms]"});
-    for (const int reps : {4, 6, 8}) {
-      md::LatticeSpec spec;
-      spec.kind = md::LatticeKind::Fcc;
-      spec.a = 5.26;
-      spec.nx = spec.ny = spec.nz = reps;
-      md::System sys = md::build_lattice(spec, 39.948);
-      // Cell path requires >= 3 cells per dim; time it via a cutoff that
-      // qualifies, and the brute path via a System in a sub-3-cell box.
-      md::NeighborList nl(4.0, 0.4);
-      WallTimer t1;
-      for (int r = 0; r < 5; ++r) nl.build(sys);
-      const double t_cell = t1.seconds() / 5.0 * 1e3;
-
-      // Brute force at the same cutoff: shrink the *list* box ratio by
-      // using a large cutoff-equivalent (force the fallback) — emulate by
-      // building with a cutoff that makes cells impossible.
-      md::NeighborList nl2(sys.box().length(0) / 2.9 - 0.4, 0.4);
-      WallTimer t2;
-      for (int r = 0; r < 2; ++r) nl2.build(sys);
-      const double t_brute = t2.seconds() / 2.0 * 1e3;
-      table.add_row(sys.nlocal(), sys.box().length(0) / 4.4, t_cell,
-                    t_brute);
-    }
-    table.print();
-    std::printf("\n(The brute column uses a proportionally larger cutoff —\n"
-                "the O(N^2) growth is the point, not the absolute pair.)\n");
   }
   return 0;
 }

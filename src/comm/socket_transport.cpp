@@ -30,7 +30,6 @@ constexpr int kCtlResult = -203;
 struct ChildStats {
   std::uint64_t messages = 0;
   double bytes = 0.0;
-  double comm_seconds = 0.0;
 };
 
 // Blocking write for the control channel (the launcher is always
@@ -284,7 +283,6 @@ namespace {
     ChildStats stats;
     stats.messages = transport.traffic().messages;
     stats.bytes = transport.traffic().bytes;
-    stats.comm_seconds = transport.comm_seconds();
     ctl_send_frame(ctl, kCtlStats, &stats, sizeof(stats));
     if (rank == 0) {
       ctl_send_frame(ctl, kCtlResult, result.data(), result.size());

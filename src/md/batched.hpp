@@ -51,6 +51,9 @@ class BatchedSimulation : private StepStages {
     return static_cast<int>(boxes_.size());
   }
   [[nodiscard]] const System& combined() const { return loop_.system(); }
+  [[nodiscard]] const NeighborList& neighbor_list() const {
+    return loop_.neighbor_list();
+  }
   [[nodiscard]] Integrator& integrator() { return loop_.integrator(); }
   [[nodiscard]] long step() const { return loop_.step(); }
   [[nodiscard]] const TimerSet& timers() const { return loop_.timers(); }

@@ -12,22 +12,97 @@ namespace ember::md {
 namespace {
 // Threaded builds only engage for a non-serial context.
 bool threaded(const ComputeContext* ctx) { return ctx != nullptr && !ctx->serial(); }
+
+// Candidates of a periodic build: the atoms of [begin, end) with zero
+// shift, then every periodic image of them that lies inside the atoms'
+// extent grown by rlist (per periodic dimension, the shifts k*L that keep
+// x + k*L in [lo - rlist, hi + rlist]). No other image can come within
+// rlist of an atom of the range. This covers rlist > L (several periods,
+// an atom listing its own image) and positions not yet wrapped into the
+// box. Non-periodic dimensions get no images.
+std::vector<NeighborList::Entry> periodic_candidates(const System& sys,
+                                                     const Box& box, int begin,
+                                                     int end, double rlist) {
+  std::vector<NeighborList::Entry> cands;
+  if (begin == end) return cands;
+  Vec3 lo = sys.x[begin];
+  Vec3 hi = lo;
+  for (int i = begin; i < end; ++i) {
+    cands.push_back({i, Vec3{}});
+    for (int d = 0; d < 3; ++d) {
+      lo[d] = std::min(lo[d], sys.x[i][d]);
+      hi[d] = std::max(hi[d], sys.x[i][d]);
+    }
+  }
+  // Pad like the grid so rounding in k never drops a boundary image. The
+  // k bounds stay doubles: a non-finite position then yields no images
+  // instead of an undefined cast to int.
+  const double reach = rlist + 1e-9;
+  for (int i = begin; i < end; ++i) {
+    double kmin[3] = {0.0, 0.0, 0.0};
+    double kmax[3] = {0.0, 0.0, 0.0};
+    for (int d = 0; d < 3; ++d) {
+      if (!box.periodic(d)) continue;
+      kmin[d] = std::ceil((lo[d] - reach - sys.x[i][d]) / box.length(d));
+      kmax[d] = std::floor((hi[d] + reach - sys.x[i][d]) / box.length(d));
+    }
+    for (double kz = kmin[2]; kz <= kmax[2]; ++kz) {
+      for (double ky = kmin[1]; ky <= kmax[1]; ++ky) {
+        for (double kx = kmin[0]; kx <= kmax[0]; ++kx) {
+          if (kx == 0.0 && ky == 0.0 && kz == 0.0) continue;
+          cands.push_back({i, Vec3{kx * box.length(0), ky * box.length(1),
+                                   kz * box.length(2)}});
+        }
+      }
+    }
+  }
+  return cands;
+}
 }  // namespace
 
 void NeighborList::build(const System& sys, bool use_ghosts,
                          const ComputeContext* ctx) {
-  EMBER_REQUIRE(cutoff_ > 0.0, "neighbor list cutoff not set");
-  first_.assign(sys.nlocal() + 1, 0);
-  entries_.clear();
-
+  reset(sys.nlocal());
   if (use_ghosts) {
-    // Parallel path: ghosts are explicit pre-shifted copies; bin every atom
-    // into cells over the joint bounding box, no periodic wrapping.
-    build_cells(sys, ctx);
+    // Parallel path: ghosts are explicit pre-shifted copies, so every atom
+    // is a candidate as it stands.
+    std::vector<Entry> cands(static_cast<std::size_t>(sys.ntotal()));
+    for (int j = 0; j < sys.ntotal(); ++j) cands[j].j = j;
+    search(sys, 0, sys.nlocal(), cands, ctx);
   } else {
-    build_periodic_range(sys, sys.box(), 0, sys.nlocal(), ctx);
+    search(sys, 0, sys.nlocal(),
+           periodic_candidates(sys, sys.box(), 0, sys.nlocal(),
+                               cutoff_ + skin_),
+           ctx);
   }
+  finish(sys);
+}
 
+void NeighborList::build_batched(const System& combined,
+                                 std::span<const Box> boxes,
+                                 std::span<const int> offsets,
+                                 const ComputeContext* ctx) {
+  EMBER_REQUIRE(offsets.size() == boxes.size() + 1 &&
+                    offsets.front() == 0 &&
+                    offsets.back() == combined.nlocal(),
+                "batched offsets must tile the combined system");
+  reset(combined.nlocal());
+  for (std::size_t r = 0; r < boxes.size(); ++r) {
+    search(combined, offsets[r], offsets[r + 1],
+           periodic_candidates(combined, boxes[r], offsets[r], offsets[r + 1],
+                               cutoff_ + skin_),
+           ctx);
+  }
+  finish(combined);
+}
+
+void NeighborList::reset(int nlocal) {
+  EMBER_REQUIRE(cutoff_ > 0.0, "neighbor list cutoff not set");
+  first_.assign(nlocal + 1, 0);
+  entries_.clear();
+}
+
+void NeighborList::finish(const System& sys) {
   x_at_build_.assign(sys.x.begin(), sys.x.begin() + sys.nlocal());
   box_at_build_ = sys.box().lengths();
 
@@ -35,39 +110,6 @@ void NeighborList::build(const System& sys, bool use_ghosts,
   static obs::Gauge& pairs = obs::Registry::global().gauge("neigh.pairs");
   builds.inc();
   pairs.set(static_cast<double>(entries_.size()));
-}
-
-void NeighborList::build_batched(const System& combined,
-                                 std::span<const Box> boxes,
-                                 std::span<const int> offsets,
-                                 const ComputeContext* ctx) {
-  EMBER_REQUIRE(cutoff_ > 0.0, "neighbor list cutoff not set");
-  EMBER_REQUIRE(offsets.size() == boxes.size() + 1 &&
-                    offsets.front() == 0 &&
-                    offsets.back() == combined.nlocal(),
-                "batched offsets must tile the combined system");
-  first_.assign(combined.nlocal() + 1, 0);
-  entries_.clear();
-  for (std::size_t r = 0; r < boxes.size(); ++r) {
-    build_periodic_range(combined, boxes[r], offsets[r], offsets[r + 1], ctx);
-  }
-  x_at_build_.assign(combined.x.begin(),
-                     combined.x.begin() + combined.nlocal());
-  box_at_build_ = combined.box().lengths();
-}
-
-void NeighborList::build_periodic_range(const System& sys, const Box& box,
-                                        int begin, int end,
-                                        const ComputeContext* ctx) {
-  const double rlist = cutoff_ + skin_;
-  const bool cells_ok = box.length(0) / rlist >= 3.0 &&
-                        box.length(1) / rlist >= 3.0 &&
-                        box.length(2) / rlist >= 3.0;
-  if (cells_ok) {
-    build_cells_range(sys, box, begin, end, ctx);
-  } else {
-    build_brute_force_range(sys, box, begin, end, ctx);
-  }
 }
 
 bool NeighborList::needs_rebuild(const System& sys) const {
@@ -87,8 +129,7 @@ bool NeighborList::needs_rebuild(const System& sys) const {
 void NeighborList::emit_rows(int begin, int end, const ComputeContext* ctx,
                              const RowSearch& search) {
   if (!threaded(ctx)) {
-    // Serial: append rows directly in atom order, exactly like the
-    // pre-threading builders did.
+    // Serial: append rows directly in atom order.
     std::vector<Entry> row;
     for (int i = begin; i < end; ++i) {
       row.clear();
@@ -129,134 +170,24 @@ void NeighborList::emit_rows(int begin, int end, const ComputeContext* ctx,
   });
 }
 
-void NeighborList::build_brute_force_range(const System& sys, const Box& box,
-                                           int begin, int end,
-                                           const ComputeContext* ctx) {
+void NeighborList::search(const System& sys, int begin, int end,
+                          const std::vector<Entry>& cands,
+                          const ComputeContext* ctx) {
+  if (begin == end) return;  // no owned atoms: their rows stay empty
   const double rlist = cutoff_ + skin_;
   const double r2 = rlist * rlist;
-  // Number of periodic images to search per dimension.
-  int span[3];
-  for (int d = 0; d < 3; ++d) {
-    span[d] = box.periodic(d)
-                  ? static_cast<int>(std::ceil(rlist / box.length(d)))
-                  : 0;
-  }
-  emit_rows(begin, end, ctx, [&](int i, std::vector<Entry>& out) {
-    for (int j = begin; j < end; ++j) {
-      for (int sx = -span[0]; sx <= span[0]; ++sx) {
-        for (int sy = -span[1]; sy <= span[1]; ++sy) {
-          for (int sz = -span[2]; sz <= span[2]; ++sz) {
-            if (j == i && sx == 0 && sy == 0 && sz == 0) continue;
-            const Vec3 shift{sx * box.length(0), sy * box.length(1),
-                             sz * box.length(2)};
-            const Vec3 d = sys.x[j] + shift - sys.x[i];
-            if (d.norm2() < r2) {
-              out.push_back({j, shift});
-            }
-          }
-        }
-      }
-    }
-  });
-}
+  const int n = static_cast<int>(cands.size());
 
-void NeighborList::build_cells_range(const System& sys, const Box& box,
-                                     int begin, int end,
-                                     const ComputeContext* ctx) {
-  const double rlist = cutoff_ + skin_;
-  const double r2 = rlist * rlist;
-  const int n = end - begin;
-
-  int nc[3];
-  for (int d = 0; d < 3; ++d) {
-    nc[d] = std::max(1, static_cast<int>(std::floor(box.length(d) / rlist)));
-  }
-  const auto cell_of = [&](const Vec3& r, int out[3]) {
+  // Open grid over the candidates' bounding box; cells are at least rlist
+  // wide, so the 27 cells around an atom hold all of its neighbors.
+  std::vector<Vec3> pos(cands.size());
+  for (int k = 0; k < n; ++k) pos[k] = sys.x[cands[k].j] + cands[k].shift;
+  Vec3 lo = pos[0];
+  Vec3 hi = pos[0];
+  for (const Vec3& p : pos) {
     for (int d = 0; d < 3; ++d) {
-      const int c = static_cast<int>(r[d] / box.length(d) * nc[d]);
-      out[d] = std::clamp(c, 0, nc[d] - 1);
-    }
-  };
-
-  // Bucket atoms of the range into cells (counting sort). Assigning cell
-  // indices is the FP-heavy part of binning and parallelizes over atoms;
-  // the histogram + scatter stay serial (write conflicts).
-  const int ncells = nc[0] * nc[1] * nc[2];
-  std::vector<int> count(ncells + 1, 0);
-  std::vector<int> cell_idx(n);
-  const auto assign_cells = [&](int /*tid*/, int b, int e) {
-    for (int i = b; i < e; ++i) {
-      int c[3];
-      cell_of(sys.x[begin + i], c);
-      cell_idx[i] = (c[2] * nc[1] + c[1]) * nc[0] + c[0];
-    }
-  };
-  if (threaded(ctx)) {
-    ctx->pool().parallel_for(0, n, 4096, assign_cells);
-  } else {
-    assign_cells(0, 0, n);
-  }
-  for (int i = 0; i < n; ++i) ++count[cell_idx[i] + 1];
-  for (int c = 0; c < ncells; ++c) count[c + 1] += count[c];
-  std::vector<int> order(n);
-  {
-    std::vector<int> cursor(count.begin(), count.end() - 1);
-    for (int i = 0; i < n; ++i) order[cursor[cell_idx[i]]++] = begin + i;
-  }
-
-  emit_rows(begin, end, ctx, [&](int i, std::vector<Entry>& out) {
-    int ci[3];
-    cell_of(sys.x[i], ci);
-    for (int dz = -1; dz <= 1; ++dz) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          int cj[3] = {ci[0] + dx, ci[1] + dy, ci[2] + dz};
-          Vec3 shift{};
-          bool skip = false;
-          for (int d = 0; d < 3; ++d) {
-            int wrapped = cj[d];
-            if (wrapped < 0 || wrapped >= nc[d]) {
-              if (!box.periodic(d)) {
-                skip = true;
-                break;
-              }
-              if (wrapped < 0) {
-                wrapped += nc[d];
-                shift[d] = -box.length(d);
-              } else {
-                wrapped -= nc[d];
-                shift[d] = box.length(d);
-              }
-            }
-            cj[d] = wrapped;
-          }
-          if (skip) continue;
-          const int cell = (cj[2] * nc[1] + cj[1]) * nc[0] + cj[0];
-          for (int s = count[cell]; s < count[cell + 1]; ++s) {
-            const int j = order[s];
-            if (j == i && shift.norm2() == 0.0) continue;
-            const Vec3 d = sys.x[j] + shift - sys.x[i];
-            if (d.norm2() < r2) out.push_back({j, shift});
-          }
-        }
-      }
-    }
-  });
-}
-
-void NeighborList::build_cells(const System& sys, const ComputeContext* ctx) {
-  const double rlist = cutoff_ + skin_;
-  const double r2 = rlist * rlist;
-  const int ntotal = sys.ntotal();
-
-  // Grid over the bounding box of all atoms (locals + pre-shifted
-  // ghosts), open stencil, no wrapping.
-  Vec3 lo = sys.x[0];
-  Vec3 hi = sys.x[0];
-  for (int i = 1; i < ntotal; ++i) {
-    for (int d = 0; d < 3; ++d) {
-      lo[d] = std::min(lo[d], sys.x[i][d]);
-      hi[d] = std::max(hi[d], sys.x[i][d]);
+      lo[d] = std::min(lo[d], p[d]);
+      hi[d] = std::max(hi[d], p[d]);
     }
   }
   const Vec3 origin = lo - Vec3{1e-9, 1e-9, 1e-9};
@@ -273,30 +204,39 @@ void NeighborList::build_cells(const System& sys, const ComputeContext* ctx) {
     }
   };
 
+  // Bucket candidates into cells (counting sort). Assigning cell indices
+  // is the FP-heavy part of binning and parallelizes over candidates; the
+  // histogram + scatter stay serial (write conflicts). The scatter copies
+  // positions into cell order, so the scan below reads them contiguously.
   const int ncells = nc[0] * nc[1] * nc[2];
   std::vector<int> count(ncells + 1, 0);
-  std::vector<int> cell_idx(ntotal);
+  std::vector<int> cell_idx(n);
   const auto assign_cells = [&](int /*tid*/, int b, int e) {
-    for (int i = b; i < e; ++i) {
+    for (int k = b; k < e; ++k) {
       int c[3];
-      cell_of(sys.x[i], c);
-      cell_idx[i] = (c[2] * nc[1] + c[1]) * nc[0] + c[0];
+      cell_of(pos[k], c);
+      cell_idx[k] = (c[2] * nc[1] + c[1]) * nc[0] + c[0];
     }
   };
   if (threaded(ctx)) {
-    ctx->pool().parallel_for(0, ntotal, 4096, assign_cells);
+    ctx->pool().parallel_for(0, n, 4096, assign_cells);
   } else {
-    assign_cells(0, 0, ntotal);
+    assign_cells(0, 0, n);
   }
-  for (int i = 0; i < ntotal; ++i) ++count[cell_idx[i] + 1];
+  for (int k = 0; k < n; ++k) ++count[cell_idx[k] + 1];
   for (int c = 0; c < ncells; ++c) count[c + 1] += count[c];
-  std::vector<int> order(ntotal);
+  std::vector<int> order(n);
+  std::vector<Vec3> sorted(cands.size());
   {
     std::vector<int> cursor(count.begin(), count.end() - 1);
-    for (int i = 0; i < ntotal; ++i) order[cursor[cell_idx[i]]++] = i;
+    for (int k = 0; k < n; ++k) {
+      const int slot = cursor[cell_idx[k]]++;
+      order[slot] = k;
+      sorted[slot] = pos[k];
+    }
   }
 
-  emit_rows(0, sys.nlocal(), ctx, [&](int i, std::vector<Entry>& out) {
+  emit_rows(begin, end, ctx, [&](int i, std::vector<Entry>& out) {
     int ci[3];
     cell_of(sys.x[i], ci);
     for (int dz = -1; dz <= 1; ++dz) {
@@ -311,10 +251,9 @@ void NeighborList::build_cells(const System& sys, const ComputeContext* ctx) {
           }
           const int cell = (cz * nc[1] + cy) * nc[0] + cx;
           for (int s = count[cell]; s < count[cell + 1]; ++s) {
-            const int j = order[s];
-            if (j == i) continue;
-            const Vec3 d = sys.x[j] - sys.x[i];
-            if (d.norm2() < r2) out.push_back({j, Vec3{}});
+            if ((sorted[s] - sys.x[i]).norm2() >= r2) continue;
+            const Entry& c = cands[order[s]];
+            if (c.j != i || c.shift.norm2() != 0.0) out.push_back(c);
           }
         }
       }

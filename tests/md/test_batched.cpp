@@ -8,6 +8,7 @@
 #include "md/batched.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
+#include "obs/metrics.hpp"
 #include "ref/pair_lj.hpp"
 #include "ref/pair_tersoff.hpp"
 
@@ -158,6 +159,28 @@ TEST(Batched, StepCallbackAndTimersMatchTheOtherDrivers) {
   EXPECT_GT(batch.timers().total(TimerCategory::Other), 0.0);
   batch.reset_timers();
   EXPECT_EQ(batch.timers().grand_total(), 0.0);
+}
+
+TEST(Batched, NeighborBuildsFeedTheMetrics) {
+  // A replicas run reports its neighbor builds like the other drivers:
+  // one neigh.builds per loop rebuild, and neigh.pairs is the last list.
+  auto& reg = obs::Registry::global();
+  obs::Counter& builds = reg.counter("neigh.builds");
+  obs::Counter& rebuilds = reg.counter("md.neigh.rebuilds");
+  const double builds0 = builds.value();
+  const double rebuilds0 = rebuilds.value();
+
+  std::vector<System> reps;
+  reps.push_back(argon_replica(2, 5.26, 300.0, 4));
+  reps.push_back(argon_replica(2, 5.40, 300.0, 5));
+  BatchedSimulation batch(reps, lj(), 0.004, 0.2, 99);
+  batch.run(60);
+
+  const double nrebuilds = rebuilds.value() - rebuilds0;
+  EXPECT_GT(nrebuilds, 1.0);  // setup plus at least one displacement rebuild
+  EXPECT_EQ(builds.value() - builds0, nrebuilds);
+  EXPECT_EQ(reg.gauge("neigh.pairs").value(),
+            static_cast<double>(batch.neighbor_list().total_pairs()));
 }
 
 TEST(Batched, RejectsMixedMasses) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "md/lattice.hpp"
@@ -31,23 +35,60 @@ TEST(Box, NonPeriodicDimension) {
   EXPECT_NEAR(box.minimum_image({0, 0, 0}, {0, 0, 9}).z, 9.0, 1e-12);
 }
 
-// Reference N^2-over-images neighbor count for validation.
-int brute_count(const System& sys, int i, double rcut) {
-  int count = 0;
-  const Box& box = sys.box();
-  for (int j = 0; j < sys.nlocal(); ++j) {
-    for (int sx = -1; sx <= 1; ++sx) {
-      for (int sy = -1; sy <= 1; ++sy) {
-        for (int sz = -1; sz <= 1; ++sz) {
+// One neighbor entry as a comparable key: (j, shift).
+using Key = std::tuple<int, double, double, double>;
+
+// Reference row of atom i: every (j, shift) with j in [begin, end) and
+// |x_j + shift - x_i| < rlist, enumerated over all images k*L with |k| up
+// to what the atoms' spread plus rlist can reach along each periodic
+// dimension. Non-periodic dimensions only take k = 0.
+std::multiset<Key> reference_row(const System& sys, const Box& box, int begin,
+                                 int end, int i, double rlist) {
+  int span[3] = {0, 0, 0};
+  for (int d = 0; d < 3; ++d) {
+    if (!box.periodic(d)) continue;
+    double lo = sys.x[begin][d];
+    double hi = lo;
+    for (int j = begin; j < end; ++j) {
+      lo = std::min(lo, sys.x[j][d]);
+      hi = std::max(hi, sys.x[j][d]);
+    }
+    span[d] = static_cast<int>(std::ceil((hi - lo + rlist) / box.length(d)));
+  }
+  std::multiset<Key> row;
+  for (int j = begin; j < end; ++j) {
+    for (int sx = -span[0]; sx <= span[0]; ++sx) {
+      for (int sy = -span[1]; sy <= span[1]; ++sy) {
+        for (int sz = -span[2]; sz <= span[2]; ++sz) {
           if (j == i && sx == 0 && sy == 0 && sz == 0) continue;
           const Vec3 shift{sx * box.length(0), sy * box.length(1),
                            sz * box.length(2)};
-          if ((sys.x[j] + shift - sys.x[i]).norm() < rcut) ++count;
+          if ((sys.x[j] + shift - sys.x[i]).norm2() < rlist * rlist) {
+            row.insert({j, shift.x, shift.y, shift.z});
+          }
         }
       }
     }
   }
-  return count;
+  return row;
+}
+
+std::multiset<Key> listed_row(const NeighborList& nl, int i) {
+  std::multiset<Key> row;
+  for (const auto& en : nl.neighbors(i)) {
+    row.insert({en.j, en.shift.x, en.shift.y, en.shift.z});
+  }
+  return row;
+}
+
+// Every row of [begin, end) holds exactly the reference (j, shift) set.
+void expect_exact_rows(const NeighborList& nl, const System& sys,
+                       const Box& box, int begin, int end) {
+  const double rlist = nl.cutoff() + nl.skin();
+  for (int i = begin; i < end; ++i) {
+    EXPECT_EQ(listed_row(nl, i), reference_row(sys, box, begin, end, i, rlist))
+        << "atom " << i;
+  }
 }
 
 TEST(NeighborList, MatchesBruteForceOnRandomConfig) {
@@ -55,31 +96,111 @@ TEST(NeighborList, MatchesBruteForceOnRandomConfig) {
   Box box(14.0, 15.0, 16.0);
   System sys = random_packing(box, 120, 1.2, 12.011, rng);
 
-  const double rcut = 3.5;
-  NeighborList nl(rcut, 0.0);  // zero skin: exact cutoff comparison
+  NeighborList nl(3.0, 0.5);
   nl.build(sys);
-  for (int i = 0; i < sys.nlocal(); ++i) {
-    const auto row = nl.neighbors(i);
-    EXPECT_EQ(static_cast<int>(row.size()), brute_count(sys, i, rcut))
-        << "atom " << i;
-    // All listed distances really are within the cutoff.
-    for (const auto& en : row) {
-      const double d = (sys.x[en.j] + en.shift - sys.x[i]).norm();
-      EXPECT_LT(d, rcut);
-    }
-  }
+  expect_exact_rows(nl, sys, box, 0, sys.nlocal());
 }
 
 TEST(NeighborList, SmallBoxFallsBackToImages) {
-  // Box smaller than 3 cells: brute-force path with multi-image search.
+  // A box only ~2 list radii wide: neighbors come through the images on
+  // both sides at once.
   Rng rng(2);
   Box box(5.0, 5.0, 5.0);
   System sys = random_packing(box, 20, 1.0, 12.011, rng);
   NeighborList nl(2.4, 0.0);
   nl.build(sys);
+  expect_exact_rows(nl, sys, box, 0, sys.nlocal());
+}
+
+TEST(NeighborList, ListRadiusBeyondTheBoxSeesSeveralPeriods) {
+  // rlist > L: images up to two periods away, and every atom lists
+  // images of itself.
+  Rng rng(8);
+  Box box(3.0, 3.5, 4.0);
+  System sys = random_packing(box, 4, 1.0, 12.011, rng);
+  NeighborList nl(5.0, 0.5);
+  nl.build(sys);
+  expect_exact_rows(nl, sys, box, 0, sys.nlocal());
+
+  bool two_periods = false;
   for (int i = 0; i < sys.nlocal(); ++i) {
-    EXPECT_EQ(static_cast<int>(nl.neighbors(i).size()),
-              brute_count(sys, i, 2.4));
+    bool own_image = false;
+    for (const auto& en : nl.neighbors(i)) {
+      own_image = own_image || en.j == i;
+      two_periods = two_periods || std::abs(en.shift.x) == 2 * box.length(0);
+    }
+    EXPECT_TRUE(own_image) << "atom " << i;
+  }
+  EXPECT_TRUE(two_periods);
+}
+
+TEST(NeighborList, OpenDimensionTakesNoImages) {
+  Rng rng(9);
+  Box box(9.0, 9.0, 9.0, {true, true, false});
+  System sys = random_packing(box, 40, 1.2, 12.011, rng);
+  NeighborList nl(3.0, 0.3);
+  nl.build(sys);
+  expect_exact_rows(nl, sys, box, 0, sys.nlocal());
+  for (int i = 0; i < sys.nlocal(); ++i) {
+    for (const auto& en : nl.neighbors(i)) EXPECT_EQ(en.shift.z, 0.0);
+  }
+}
+
+TEST(NeighborList, UnwrappedPositionsAtSetup) {
+  // The setup build takes the caller's coordinates as they are: atoms a
+  // little outside [0, L) still find every neighbor through the images.
+  Rng rng(10);
+  Box box(10.0, 11.0, 12.0);
+  System sys = random_packing(box, 60, 1.2, 12.011, rng);
+  sys.x[0] = {-0.4, 5.0, 6.0};
+  sys.x[1] = {9.9, -0.2, 12.3};
+  sys.x[2] = {10.3, 10.8, -0.1};
+  sys.x[3] = {0.2, 11.4, 11.9};
+  NeighborList nl(3.2, 0.4);
+  nl.build(sys);
+  expect_exact_rows(nl, sys, box, 0, sys.nlocal());
+}
+
+TEST(NeighborList, BatchedReplicasKeepTheirOwnBoxes) {
+  Rng rng(11);
+  const std::vector<Box> boxes = {Box(9.0, 10.0, 11.0), Box(6.0, 7.0, 5.5)};
+  System a = random_packing(boxes[0], 50, 1.2, 12.011, rng);
+  System b = random_packing(boxes[1], 20, 1.2, 12.011, rng);
+  System combined(boxes[0], 12.011);
+  for (const System* rep : {&a, &b}) {
+    for (int i = 0; i < rep->nlocal(); ++i) combined.add_atom(rep->x[i]);
+  }
+  const std::vector<int> offsets = {0, a.nlocal(), a.nlocal() + b.nlocal()};
+
+  NeighborList nl(3.0, 0.4);
+  nl.build_batched(combined, boxes, offsets);
+  for (int r = 0; r < 2; ++r) {
+    expect_exact_rows(nl, combined, boxes[r], offsets[r], offsets[r + 1]);
+  }
+}
+
+TEST(NeighborList, GhostBuildListsPreShiftedCopies) {
+  // Parallel path: ghosts are explicit copies and nothing wraps, so the
+  // reference is a plain search over all atoms with zero shift.
+  Rng rng(12);
+  Box box(10.0, 10.0, 10.0);
+  System sys = random_packing(box, 40, 1.2, 12.011, rng);
+  const int nlocal = sys.nlocal();
+  for (int i = 0; i < nlocal; ++i) {
+    if (sys.x[i].x < 3.5) sys.add_ghost(sys.x[i] + Vec3{10.0, 0.0, 0.0}, i);
+  }
+  NeighborList nl(3.0, 0.4);
+  nl.build(sys, /*use_ghosts=*/true);
+  ASSERT_EQ(nl.num_atoms(), nlocal);
+  const double rlist = nl.cutoff() + nl.skin();
+  for (int i = 0; i < nlocal; ++i) {
+    std::multiset<Key> want;
+    for (int j = 0; j < sys.ntotal(); ++j) {
+      if (j != i && (sys.x[j] - sys.x[i]).norm2() < rlist * rlist) {
+        want.insert({j, 0.0, 0.0, 0.0});
+      }
+    }
+    EXPECT_EQ(listed_row(nl, i), want) << "atom " << i;
   }
 }
 

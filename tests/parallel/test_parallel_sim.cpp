@@ -153,6 +153,27 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4, 8)),
     comm::test::kind_size_name);
 
+// A rank that owns no atoms and receives no ghosts has nothing to bin:
+// its neighbor build must emit no rows, and the run must go on.
+class EmptyRank : public ::testing::TestWithParam<comm::TransportKind> {};
+
+TEST_P(EmptyRank, RankWithoutAtomsStepsThrough) {
+  md::System global(md::Box(40.0, 10.0, 10.0), 39.948);
+  global.add_atom({9.0, 5.0, 5.0});
+  global.add_atom({11.0, 5.0, 5.0});
+  comm::test::make(GetParam(), 2)->run([&](comm::Transport& c) {
+    ParallelSimulation psim(c, global,
+                            std::make_shared<ref::PairLJ>(0.0104, 2.0, 3.0),
+                            0.002, 0.3, 3);
+    psim.run(5);
+    EXPECT_EQ(psim.global_state().natoms, 2);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, EmptyRank,
+                         ::testing::ValuesIn(comm::test::kBothKinds),
+                         comm::test::kind_name);
+
 TEST(ParallelSnap, EnergyAndForcesMatchSerial) {
   // SNAP is the paper's potential: validate the many-body force path
   // (including reverse ghost-force communication) against serial.
