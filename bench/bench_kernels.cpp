@@ -1,8 +1,11 @@
 // google-benchmark microbenchmarks of the individual SNAP stages, the
 // paper's Listing-1/Listing-5 building blocks, across 2J. Confirms the
 // complexity hierarchy: compute_zi/yi O(J^7) per atom dominates at large
-// 2J; per-neighbor dB O(J^5) vs dE O(J^3) is the adjoint win (the dE
-// bench times the blocked pass over all 26 neighbors).
+// 2J; per-neighbor dB O(J^5) vs dE O(J^3) is the adjoint win. The
+// production stages (ui, yi, dE and the whole adjoint atom) run over a
+// full block of lane-width atoms, one atom per lane, each with the same
+// 26-neighbor shell (the work does not depend on the values), and report
+// time per atom in the s_per_atom counter.
 
 #include <benchmark/benchmark.h>
 
@@ -35,13 +38,29 @@ Workload make_workload(int twojmax, int nnbor = 26) {
   return w;
 }
 
+// A full block of lane-width atoms, every one with the workload's shell.
+std::vector<Bispectrum::AtomNeighbors> full_block(const Bispectrum& bi,
+                                                  const Workload& w) {
+  return std::vector<Bispectrum::AtomNeighbors>(
+      bi.lane_width(), Bispectrum::AtomNeighbors{w.rij, {}});
+}
+
+void per_atom(benchmark::State& state, const Bispectrum& bi) {
+  state.counters["s_per_atom"] = benchmark::Counter(
+      bi.lane_width(), benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
+}
+
 void BM_ComputeUi(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
   Bispectrum bi(w.params);
+  const auto block = full_block(bi, w);
   for (auto _ : state) {
-    bi.compute_ui(w.rij, {});
-    benchmark::DoNotOptimize(bi.utot().data());
+    bi.compute_ui_block(block);
+    benchmark::DoNotOptimize(&bi);
+    benchmark::ClobberMemory();
   }
+  per_atom(state, bi);
 }
 BENCHMARK(BM_ComputeUi)->Arg(4)->Arg(8)->Arg(14);
 
@@ -56,25 +75,18 @@ void BM_ComputeZi(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeZi)->Arg(4)->Arg(8)->Arg(14);
 
-// The production Y sweep: one compute_yi_block over a full block of
-// lane-width atoms (the same neighbor shell in every lane; the sweep's
-// work does not depend on the values). Time is reported per atom.
 void BM_ComputeYi(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
   Bispectrum bi(w.params);
   std::vector<double> coeffs;
   bi.index().fold_beta(w.beta, coeffs);
-  for (int lane = 0; lane < bi.lane_width(); ++lane) {
-    bi.compute_ui(w.rij, {}, lane);
-  }
+  bi.compute_ui_block(full_block(bi, w));
   for (auto _ : state) {
     bi.compute_yi_block(coeffs);
     benchmark::DoNotOptimize(&bi);
     benchmark::ClobberMemory();
   }
-  state.counters["s_per_atom"] = benchmark::Counter(
-      bi.lane_width(), benchmark::Counter::kIsIterationInvariantRate |
-                           benchmark::Counter::kInvert);
+  per_atom(state, bi);
 }
 BENCHMARK(BM_ComputeYi)->Arg(4)->Arg(8)->Arg(14);
 
@@ -92,13 +104,16 @@ BENCHMARK(BM_ComputeDuidrj)->Arg(4)->Arg(8)->Arg(14);
 void BM_ComputeDeidrjAll(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
   Bispectrum bi(w.params);
-  bi.compute_ui(w.rij, {});
-  bi.compute_yi(w.beta);
-  std::vector<Vec3> de(w.rij.size());
+  std::vector<double> coeffs;
+  bi.index().fold_beta(w.beta, coeffs);
+  bi.compute_ui_block(full_block(bi, w));
+  bi.compute_yi_block(coeffs);
   for (auto _ : state) {
-    bi.compute_deidrj_all(de);
-    benchmark::DoNotOptimize(de.data());
+    bi.compute_deidrj_block();
+    benchmark::DoNotOptimize(&bi);
+    benchmark::ClobberMemory();
   }
+  per_atom(state, bi);
 }
 BENCHMARK(BM_ComputeDeidrjAll)->Arg(4)->Arg(8)->Arg(14);
 
@@ -119,15 +134,20 @@ BENCHMARK(BM_ComputeDbidrj)->Arg(4)->Arg(8)->Arg(14);
 void BM_AtomAdjoint(benchmark::State& state) {
   const auto w = make_workload(8);
   Bispectrum bi(w.params);
-  std::vector<Vec3> de(w.rij.size());
+  std::vector<double> coeffs;
+  bi.index().fold_beta(w.beta, coeffs);
+  const auto block = full_block(bi, w);
   for (auto _ : state) {
-    bi.compute_ui(w.rij, {});
-    bi.compute_yi(w.beta);
-    bi.compute_deidrj_all(de);
+    bi.compute_ui_block(block);
+    bi.compute_yi_block(coeffs);
+    bi.compute_deidrj_block();
     Vec3 f;
-    for (const auto& d : de) f += d;
+    for (int l = 0; l < bi.lane_width(); ++l) {
+      for (std::size_t k = 0; k < w.rij.size(); ++k) f += bi.deidrj(l, k);
+    }
     benchmark::DoNotOptimize(f);
   }
+  per_atom(state, bi);
 }
 BENCHMARK(BM_AtomAdjoint);
 

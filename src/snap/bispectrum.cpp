@@ -73,8 +73,7 @@ Bispectrum::Bispectrum(const SnapParams& params)
 
   const int nh = idx_.u_half_total();
   const std::size_t w = static_cast<std::size_t>(ops_.width);
-  atom_ck_.resize(w);
-  atom_nnbor_.assign(w, 0);
+  slot_rij_.resize(w);
   ucache_re_.resize(static_cast<std::size_t>(nh) * w);
   ucache_im_.resize(static_cast<std::size_t>(nh) * w);
   ublk_re_.resize(static_cast<std::size_t>(nh) * w);
@@ -83,11 +82,8 @@ Bispectrum::Bispectrum(const SnapParams& params)
   ufull_im_.resize(static_cast<std::size_t>(idx_.u_total()) * w);
   y_re_.resize(static_cast<std::size_t>(nh) * w);
   y_im_.resize(static_cast<std::size_t>(nh) * w);
-  lane_acc_re_.resize(static_cast<std::size_t>(nh) * w);
-  lane_acc_im_.resize(static_cast<std::size_t>(nh) * w);
-  lane_lam_re_.resize(static_cast<std::size_t>(nh) * w);
-  lane_lam_im_.resize(static_cast<std::size_t>(nh) * w);
-  lane_out_.resize(3 * w);
+  lam_re_.resize(static_cast<std::size_t>(nh) * w);
+  lam_im_.resize(static_cast<std::size_t>(nh) * w);
 
   flops_.zi = z_sweep_flops(idx_);
   flops_.yi = y_work_list_flops(idx_);
@@ -181,81 +177,80 @@ simd::UiBlockArgs Bispectrum::ui_args(const double* ck, double* acc_re,
 
 void Bispectrum::compute_ui(std::span<const Vec3> rij,
                             std::span<const double> wj) {
-  compute_ui(rij, wj, 0);
+  const AtomNeighbors one{rij, wj};
+  compute_ui_block({&one, 1});
   const std::size_t w = static_cast<std::size_t>(ops_.width);
   for (std::size_t f = 0; f < utot_.size(); ++f) {
     utot_[f] = {ufull_re_[f * w], ufull_im_[f * w]};
   }
 }
 
-void Bispectrum::compute_ui(std::span<const Vec3> rij,
-                            std::span<const double> wj, int lane) {
-  EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
-                "weight array size mismatch");
-  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
-  have_z_ = false;
-  const int nn = static_cast<int>(rij.size());
+void Bispectrum::compute_ui_block(std::span<const AtomNeighbors> atoms) {
   const int w = ops_.width;
-  const std::size_t ck_block = static_cast<std::size_t>(simd::kCkSlots) * w;
-  const int nblk = (nn + w - 1) / w;
-  aligned_vector<double>& ck = atom_ck_[lane];
-  ck.resize(static_cast<std::size_t>(nblk) * ck_block);
-  atom_nnbor_[lane] = nn;
-  std::fill(lane_acc_re_.begin(), lane_acc_re_.end(), 0.0);
-  std::fill(lane_acc_im_.begin(), lane_acc_im_.end(), 0.0);
+  EMBER_REQUIRE(static_cast<int>(atoms.size()) <= w,
+                "more atoms than lanes in one block");
+  nslots_ = 0;
+  for (const AtomNeighbors& a : atoms) {
+    EMBER_REQUIRE(a.wj.empty() || a.wj.size() == a.rij.size(),
+                  "weight array size mismatch");
+    nslots_ = std::max(nslots_, a.rij.size());
+  }
+  have_z_ = false;
+  const std::size_t ck_slot = static_cast<std::size_t>(simd::kCkSlots) * w;
+  ck_.resize(nslots_ * ck_slot);
+  std::fill(ublk_re_.begin(), ublk_re_.end(), 0.0);
+  std::fill(ublk_im_.begin(), ublk_im_.end(), 0.0);
   EMBER_CHECK(EMBER_REQUIRE(
       is_aligned(ucache_re_.data()) && is_aligned(ucache_im_.data()) &&
-          is_aligned(lane_acc_re_.data()) && is_aligned(lane_acc_im_.data()),
+          is_aligned(ublk_re_.data()) && is_aligned(ublk_im_.data()),
       "SNAP lane-kernel planes must be 64-byte aligned"));
 
+  // A lane past its atom's last neighbor maps a dummy displacement
+  // midway between rmin0 and rcut (finite mapping) with weight 0.
+  const Vec3 dummy{0.0, 0.0, 0.5 * (std::max(params_.rmin0, 0.0) +
+                                    params_.rcut)};
   simd::MapBlockArgs map{.rcut = params_.rcut,
                          .rfac0 = params_.rfac0,
                          .rmin0 = params_.rmin0,
-                         .switch_flag = params_.switch_flag};
-  for (int b = 0; b < nblk; ++b) {
-    double* slots = ck.data() + static_cast<std::size_t>(b) * ck_block;
-    map.rij = rij.data() + static_cast<std::size_t>(b) * w;
-    map.n = std::min(w, nn - b * w);
+                         .switch_flag = params_.switch_flag,
+                         .rij = slot_rij_.data()};
+  for (std::size_t k = 0; k < nslots_; ++k) {
+    double* slots = ck_.data() + k * ck_slot;
+    for (std::size_t l = 0; l < slot_rij_.size(); ++l) {
+      const bool real = l < atoms.size() && k < atoms[l].rij.size();
+      slot_rij_[l] = real ? atoms[l].rij[k] : dummy;
+      slots[simd::kCkW * w + l] =
+          real ? (atoms[l].wj.empty() ? 1.0 : atoms[l].wj[k]) : 0.0;
+    }
     map.ck = slots;
     EMBER_REQUIRE(ops_.map_block(map), "neighbor distance outside (0, rcut)");
-    // Padded lanes repeat the last neighbor's mapping with weight 0: the
-    // recursion stays finite and their contributions vanish.
-    for (int l = 0; l < w; ++l) {
-      slots[simd::kCkW * w + l] =
-          l < map.n ? (wj.empty() ? 1.0 : wj[b * w + l]) : 0.0;
-    }
-    ops_.ui_block(ui_args(slots, lane_acc_re_.data(), lane_acc_im_.data()));
+    ops_.ui_block(ui_args(slots, ublk_re_.data(), ublk_im_.data()));
   }
 
-  // Reduce the neighbor-lane accumulator into the atom's lane of the
-  // block Utot, add the self term on the diagonal, and expand the lane to
-  // the full range the Y sweep reads: beyond the half range
+  // One lane-wide pass: the self term on the diagonal, and the expansion
+  // to the full range the Y sweep reads, beyond the half range
   // U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb]).
   const std::size_t uw = static_cast<std::size_t>(w);
   std::size_t e = 0;
   for (int j = 0; j <= params_.twojmax; ++j) {
     for (int ma = 0; ma <= j; ++ma) {
       for (int mb = 0; 2 * mb <= j; ++mb, ++e) {
-        double sr = 0.0;
-        double si = 0.0;
-        for (std::size_t l = 0; l < uw; ++l) {
-          sr += lane_acc_re_[e * uw + l];
-          si += lane_acc_im_[e * uw + l];
+        double* sr = ublk_re_.data() + e * uw;
+        const double* si = ublk_im_.data() + e * uw;
+        if (ma == mb) {
+          for (std::size_t l = 0; l < uw; ++l) sr[l] += params_.wself;
         }
-        if (ma == mb) sr += params_.wself;
-        ublk_re_[e * uw + lane] = sr;
-        ublk_im_[e * uw + lane] = si;
-        const auto f =
-            static_cast<std::size_t>(idx_.u_index(j, ma, mb)) * uw + lane;
-        ufull_re_[f] = sr;
-        ufull_im_[f] = si;
+        const auto f = static_cast<std::size_t>(idx_.u_index(j, ma, mb)) * uw;
+        std::copy(sr, sr + uw, ufull_re_.data() + f);
+        std::copy(si, si + uw, ufull_im_.data() + f);
         if (2 * mb < j) {
           const double sg = (ma + mb) % 2 == 0 ? 1.0 : -1.0;
           const auto g =
-              static_cast<std::size_t>(idx_.u_index(j, j - ma, j - mb)) * uw +
-              lane;
-          ufull_re_[g] = sg * sr;
-          ufull_im_[g] = -sg * si;
+              static_cast<std::size_t>(idx_.u_index(j, j - ma, j - mb)) * uw;
+          for (std::size_t l = 0; l < uw; ++l) {
+            ufull_re_[g + l] = sg * sr[l];
+            ufull_im_[g + l] = -sg * si[l];
+          }
         }
       }
     }
@@ -292,7 +287,12 @@ Cplx Bispectrum::z_element(const ZTriple& t, int ma, int mb) const {
   return z;
 }
 
-void Bispectrum::compute_zi() {
+void Bispectrum::compute_zi(int lane) {
+  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
+  const std::size_t w = static_cast<std::size_t>(ops_.width);
+  for (std::size_t f = 0; f < utot_.size(); ++f) {
+    utot_[f] = {ufull_re_[f * w + lane], ufull_im_[f * w + lane]};
+  }
   // Sized on first use: the linear adjoint path never stores Z.
   zlist_.resize(idx_.z_total());
   for (const auto& t : idx_.z_triples()) {
@@ -325,17 +325,18 @@ void Bispectrum::compute_bi_impl(bool subtract_bzero) {
   }
 }
 
-void Bispectrum::compute_yi(std::span<const double> beta) {
+void Bispectrum::compute_yi(std::span<const double> beta, int lane) {
   idx_.fold_beta(beta, yi_coeff_scratch_);
-  compute_yi_coeffs(yi_coeff_scratch_);
+  compute_yi_coeffs(yi_coeff_scratch_, lane);
 }
 
-void Bispectrum::compute_yi_coeffs(std::span<const double> coeffs) {
+void Bispectrum::compute_yi_coeffs(std::span<const double> coeffs, int lane) {
   EMBER_REQUIRE(coeffs.size() == idx_.z_triples().size(),
                 "coefficient array must have one entry per coupling triple");
-  simd::scalar_ops().yi_block({&idx_, ops_.width, ufull_re_.data(),
-                               ufull_im_.data(), coeffs.data(), y_re_.data(),
-                               y_im_.data()});
+  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
+  simd::scalar_ops().yi_block({&idx_, ops_.width, ufull_re_.data() + lane,
+                               ufull_im_.data() + lane, coeffs.data(),
+                               y_re_.data() + lane, y_im_.data() + lane});
 }
 
 void Bispectrum::compute_yi_block(std::span<const double> coeffs) {
@@ -361,46 +362,37 @@ void Bispectrum::compute_duidrj(const Vec3& rij, double wj) {
   }
 }
 
-void Bispectrum::compute_deidrj_all(std::span<Vec3> de, int lane) {
-  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
-  const int nn = atom_nnbor_[lane];
-  EMBER_REQUIRE(static_cast<int>(de.size()) >= nn,
-                "force span smaller than the atom's neighbor set");
-  const int nh = idx_.u_half_total();
-  const int w = ops_.width;
-  const int nblk = (nn + w - 1) / w;
+void Bispectrum::compute_deidrj_block() {
+  const std::size_t w = static_cast<std::size_t>(ops_.width);
+  de_.resize(nslots_ * 3 * w);
   EMBER_CHECK(EMBER_REQUIRE(
       is_aligned(ucache_re_.data()) && is_aligned(ucache_im_.data()) &&
-          is_aligned(lane_lam_re_.data()) && is_aligned(lane_lam_im_.data()),
+          is_aligned(lam_re_.data()) && is_aligned(lam_im_.data()),
       "SNAP lane-kernel planes must be 64-byte aligned"));
 
-  simd::DeiBlockArgs args;
-  args.twojmax = params_.twojmax;
-  args.half_block = idx_.u_half_block_data();
-  args.nh = nh;
-  args.rootpq = rootpq_.data();
-  args.ur = ucache_re_.data();
-  args.ui = ucache_im_.data();
-  args.lam_re = lane_lam_re_.data();
-  args.lam_im = lane_lam_im_.data();
-  args.y_re = y_re_.data() + lane;
-  args.y_im = y_im_.data() + lane;
-  args.out = lane_out_.data();
-  for (int b = 0; b < nblk; ++b) {
-    args.ck = atom_ck_[lane].data() +
-              static_cast<std::size_t>(b) * simd::kCkSlots * w;
-    // Replay the block's bare U recursion (no accumulation) rather than
-    // keep every block's U from compute_ui.
+  simd::DeiBlockArgs args{params_.twojmax,   idx_.u_half_block_data(),
+                          idx_.u_half_total(), rootpq_.data(),
+                          nullptr,             ucache_re_.data(),
+                          ucache_im_.data(),   lam_re_.data(),
+                          lam_im_.data(),      y_re_.data(),
+                          y_im_.data(),        nullptr};
+  for (std::size_t k = 0; k < nslots_; ++k) {
+    args.ck = ck_.data() + k * simd::kCkSlots * w;
+    // Replay the slot's bare U recursion (no accumulation) rather than
+    // keep every slot's U from compute_ui_block. The Y planes carry the
+    // half-range weights (factor 2 for mirrored columns), so each lane's
+    // output is the complete chain rule.
     ops_.ui_block(ui_args(args.ck, nullptr, nullptr));
+    args.out = de_.data() + k * 3 * w;
     ops_.dei_block(args);
-    // The Y planes carry the half-range weights (factor 2 for mirrored
-    // columns), so each lane's sum is the complete chain rule.
-    const int active = std::min(w, nn - b * w);
-    for (int l = 0; l < active; ++l) {
-      de[b * w + l] = Vec3{lane_out_[0 * w + l], lane_out_[1 * w + l],
-                           lane_out_[2 * w + l]};
-    }
   }
+}
+
+void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
+  EMBER_REQUIRE(de.size() >= nslots_,
+                "force span smaller than the atom's neighbor set");
+  compute_deidrj_block();
+  for (std::size_t k = 0; k < nslots_; ++k) de[k] = deidrj(0, k);
 }
 
 void Bispectrum::compute_dbidrj() {
@@ -462,22 +454,25 @@ void Bispectrum::compute_deidrj_baseline(std::span<const Vec3> rij,
   }
 }
 
-double Bispectrum::energy_from_yi(double beta0, std::span<const double> beta,
-                                  int lane) const {
-  EMBER_REQUIRE(lane >= 0 && lane < ops_.width, "atom lane out of range");
+void Bispectrum::energy_from_yi(double beta0, std::span<const double> beta,
+                                std::span<double> e) const {
+  EMBER_REQUIRE(static_cast<int>(e.size()) <= ops_.width,
+                "more energies than atom lanes");
   // The Y planes carry the half-range weights, so the half-plane dot
-  // product equals the full-range sum Y : conj(Utot).
+  // product equals the full-range sum Y : conj(Utot). Every lane sums in
+  // element order.
   const std::size_t w = static_cast<std::size_t>(ops_.width);
-  double sum = 0.0;
-  for (int i = 0; i < idx_.u_half_total(); ++i) {
-    const std::size_t k = static_cast<std::size_t>(i) * w + lane;
-    sum += y_re_[k] * ublk_re_[k] + y_im_[k] * ublk_im_[k];
+  std::fill(e.begin(), e.end(), 0.0);
+  for (std::size_t k = 0; k < y_re_.size(); k += w) {
+    for (std::size_t l = 0; l < e.size(); ++l) {
+      e[l] += y_re_[k + l] * ublk_re_[k + l] + y_im_[k + l] * ublk_im_[k + l];
+    }
   }
-  double e = beta0 + sum / 3.0;
+  double e0 = beta0;
   if (params_.bzero_flag) {
-    for (int l = 0; l < idx_.num_b(); ++l) e -= beta[l] * bzero_[l];
+    for (int l = 0; l < idx_.num_b(); ++l) e0 -= beta[l] * bzero_[l];
   }
-  return e;
+  for (double& el : e) el = e0 + el / 3.0;
 }
 
 double Bispectrum::energy(double beta0, std::span<const double> beta) const {

@@ -2,11 +2,11 @@
 
 // Runtime ISA dispatch for the SNAP lane kernel.
 //
-// The production adjoint kernel batches the Wigner-U recursion and the
-// Y : dU* contraction over blocks of neighbors, one neighbor per vector
-// lane. It is one width-generic template (kernels_impl.hpp) instantiated
-// at three widths: 8 (AVX-512F), 4 (AVX2 + FMA) and 1 (Scalar, portable
-// C++). Which width runs is decided once per Bispectrum, at construction:
+// The production adjoint kernel runs every SNAP stage over blocks of
+// atoms, one atom per vector lane. It is one width-generic template
+// (kernels_impl.hpp) instantiated at three widths: 8 (AVX-512F), 4 (AVX2
+// + FMA) and 1 (Scalar, portable C++). Which width runs is decided once
+// per Bispectrum, at construction:
 //
 //   max_supported_isa()  CPUID probe of the executing machine, clamped to
 //                        the backends this binary was built with (non-x86
@@ -36,14 +36,14 @@ namespace ember::snap::simd {
 
 // Ordered by width: choose_isa() clamps by comparing enumerators.
 enum class SimdIsa {
-  Scalar,  // 1 neighbor lane (portable instantiation)
-  Avx2,    // 4 neighbor lanes per 256-bit register
-  Avx512,  // 8 neighbor lanes per 512-bit register
+  Scalar,  // 1 atom lane (portable instantiation)
+  Avx2,    // 4 atom lanes per 256-bit register
+  Avx512,  // 8 atom lanes per 512-bit register
 };
 
 [[nodiscard]] const char* to_string(SimdIsa isa);
 
-// Neighbor lanes per vector register (1 for Scalar).
+// Atom lanes per vector register (1 for Scalar).
 [[nodiscard]] int lane_width(SimdIsa isa);
 
 // Best ISA the executing CPU *and* this binary support (cached probe).

@@ -2,13 +2,17 @@
 
 // Argument blocks and the per-ISA kernel table of the SNAP lane kernel.
 //
-// Four kernels share one lane layout, with two kinds of lane:
+// Four kernels share one lane layout with one kind of lane: lane l holds
+// atom l of a block of up to `width` atoms.
 //
 //   map_block, ui_block, dei_block
-//                        one neighbor of one atom per lane (neighbor lanes)
-//   yi_block             one atom per lane (atom lanes): Y does the same
-//                        work for every atom, so the work list and its
-//                        coefficients are broadcast and only Utot differs
+//                        neighbor slot k of the block: lane l maps atom
+//                        l's k-th neighbor, so U and dE run per (atom,
+//                        neighbor) pair and Utot sums straight into the
+//                        atom's own lane
+//   yi_block             Y does the same work for every atom, so the work
+//                        list and its coefficients are broadcast and only
+//                        Utot differs
 //
 // Every per-lane plane is *lane-interleaved*: the value of element e for
 // lane l lives at plane[e * width + l], so one aligned vector load at
@@ -16,13 +20,13 @@
 // aligned (common/aligned.hpp) and lane offsets are width multiples, so
 // every access is aligned.
 //
-// Remainder policy. Short neighbor blocks are padded: map_block copies
-// the last active lane's mapping into the padded lanes (keeps the
-// recursion finite) and the caller gives them a zero weight, so their
-// contributions vanish in the weighted accumulation and their force
-// outputs are ignored. Padded atom lanes hold a finite stale Utot whose
-// Y is never read. No lane reads another lane's data, so a lane's result
-// does not depend on its position or on its block mates.
+// Padding. An atom with fewer neighbors than the block's largest count,
+// and a lane with no atom, gets a finite dummy displacement with weight
+// 0 in the slots it lacks: its recursion stays finite and its w fc U
+// term adds an exact zero, so its Utot is that of its own neighbors, and
+// the dummy force outputs are never read. No lane reads another lane's
+// data, so a lane's result does not depend on its position or on its
+// block mates.
 //
 // The structs below are plain pointers + sizes so this header needs no
 // intrinsics. The implementations are instantiated in kernels_avx512.cpp
@@ -37,9 +41,9 @@
 
 namespace ember::snap::simd {
 
-// Lane-packed Cayley-Klein slots of one neighbor block: slot s of lane l
-// lives at ck[s * width + l]. da/db derivative slots are indexed by
-// Cartesian dim.
+// Lane-packed Cayley-Klein slots of one neighbor slot k of a block: slot
+// s of lane l (atom l's k-th neighbor) lives at ck[s * width + l].
+// da/db derivative slots are indexed by Cartesian dim.
 inline constexpr int kCkARe = 0;
 inline constexpr int kCkAIm = 1;
 inline constexpr int kCkBRe = 2;
@@ -53,31 +57,29 @@ inline constexpr int kCkDfc0 = 17;   // .. kCkDfc0 + d
 inline constexpr int kCkW = 20;      // bare neighbor weight wj
 inline constexpr int kCkSlots = 21;
 
-// Cayley-Klein mapping of one neighbor block onto the 3-sphere (LAMMPS
-// convention, see map_to_sphere in snap/wigner.hpp, which is the width-1
-// call of this kernel). Fills every slot but kCkW: a, b, their Cartesian
-// derivatives, fc and dfc. Each active lane's libm tan, cos and sin are
-// scalar calls; the rest of the algebra runs lane-wide in the same
+// Cayley-Klein mapping of one displacement per lane onto the 3-sphere
+// (LAMMPS convention, see map_to_sphere in snap/wigner.hpp, which is the
+// width-1 call of this kernel). Fills every slot but kCkW: a, b, their
+// Cartesian derivatives, fc and dfc. Each lane's libm tan, cos and sin
+// are scalar calls; the rest of the algebra runs lane-wide in the same
 // operation order at every width, so all widths give the same bits.
-// Lanes n..width-1 copy lane n-1. Returns false if some active lane's
-// |rij| lies outside (0, rcut); its slots are then meaningless.
+// Returns false if some lane's |rij| lies outside (0, rcut); the slots
+// are then meaningless.
 struct MapBlockArgs {
   double rcut = 0.0;
   double rfac0 = 0.0;
   double rmin0 = 0.0;
   bool switch_flag = true;
-  const Vec3* rij = nullptr;        // the block's displacements, n of them
-  int n = 0;                        // active lanes, 1..width
+  const Vec3* rij = nullptr;        // one displacement per lane, width
   double* ck = nullptr;             // kCkSlots * width lane-packed slots out
 };
 
-// Bare-U half-range recursion for one neighbor block, fused with the
+// Bare-U half-range recursion for one neighbor slot block, fused with the
 // weighted Utot accumulation: each element of the bare per-neighbor U
 // planes is stored and, in the same loop, w * fc * U is added into the
-// lane-interleaved Utot accumulator (reduced over lanes by the caller
-// after the last block). With acc_re == nullptr it runs the recursion
-// alone: the dE pass replays it to rebuild the bare U that dei_block's
-// reverse sweep reads.
+// atom lanes' half-range Utot. With acc_re == nullptr it runs the
+// recursion alone: the dE pass replays it to rebuild the bare U that
+// dei_block's reverse sweep reads.
 struct UiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;  // u_half_block(j) offsets, twojmax+1
@@ -86,7 +88,7 @@ struct UiBlockArgs {
   const double* ck = nullptr;       // kCkSlots * width lane-packed slots
   double* ur = nullptr;             // bare-U planes out, nh * width each
   double* ui = nullptr;
-  double* acc_re = nullptr;         // Utot accumulator, += w * fc * u
+  double* acc_re = nullptr;         // atom lanes' Utot, += w * fc * u
   double* acc_im = nullptr;         //   (nullptr: recursion only)
 };
 
@@ -108,7 +110,8 @@ struct YiBlockArgs {
   double* y_im = nullptr;
 };
 
-// Reverse-mode dE for one block: for each lane l and Cartesian dim d,
+// Reverse-mode dE for one neighbor slot block: for each lane l and
+// Cartesian dim d,
 //   out[d * width + l] = w_l * (dfc_dl * S0_l + fc_l * Sd_l)
 // with S0 = sum_e y[e] . u[e] over the (weight-folded) half-range Y
 // planes and Sd = dS0/dx_d, taken by one adjoint sweep over the bare U
@@ -126,9 +129,9 @@ struct DeiBlockArgs {
   const double* ui = nullptr;       //   (ui_block's recursion output)
   double* lam_re = nullptr;         // adjoint scratch planes dS0/dU,
   double* lam_im = nullptr;         //   nh * width each
-  const double* y_re = nullptr;     // half-range Y of the block's atom
-  const double* y_im = nullptr;     //   lane, element e at e * width,
-                                    //   pre-folded with half_weights
+  const double* y_re = nullptr;     // half-range Y of the atom lanes,
+  const double* y_im = nullptr;     //   lane-interleaved, pre-folded
+                                    //   with half_weights
   double* out = nullptr;            // 3 * width: dim-major force lanes
 };
 

@@ -1,8 +1,7 @@
-// AVX2 backend: 4 neighbor or atom lanes per 256-bit register. Compiled
-// with -mavx2 -mfma -ffp-contract=off (per-file, see
-// src/snap/CMakeLists.txt); guarded so a
-// build that defines EMBER_SNAP_HAVE_AVX2 without the flags still fails
-// loudly rather than emitting illegal instructions.
+// AVX2 backend: 4 atom lanes per 256-bit register. Compiled with -mavx2
+// -mfma -ffp-contract=off (per-file, see src/snap/CMakeLists.txt);
+// guarded so a build that defines EMBER_SNAP_HAVE_AVX2 without the flags
+// still fails loudly rather than emitting illegal instructions.
 
 #include "snap/simd/kernels.hpp"
 

@@ -1,4 +1,4 @@
-// AVX-512 backend: 8 neighbor or atom lanes per 512-bit register.
+// AVX-512 backend: 8 atom lanes per 512-bit register.
 // Compiled with -mavx512f -ffp-contract=off (per-file, see
 // src/snap/CMakeLists.txt). Negation flips the sign bit with the
 // integer XOR, because _mm512_xor_pd needs AVX-512DQ and this TU only

@@ -3,14 +3,14 @@
 // The SNAP adjoint lane kernel: the only implementation of the
 // Cayley-Klein mapping and of the production ui, yi and dei stages.
 //
-// map_block, ui_block and dei_block run one block of `width` neighbors of
-// one atom, one neighbor per lane; yi_block runs one block of `width`
-// atoms, one atom per lane. The U stages produce the half column range
-// 2*mb <= j (the other columns follow from U[j,ma,mb] = (-1)^(ma+mb)
-// conj(U[j,j-ma,j-mb])); yi_block reads the full-range Utot that the
-// caller expanded from it. The half recursion is closed: column mb of
-// level j reads column mb-1 (or 0) of level j-1, and
-// mb - 1 <= j/2 - 1 <= (j-1)/2.
+// Every kernel runs one block of `width` atoms, one atom per lane:
+// map_block, ui_block and dei_block one neighbor slot of the block (lane
+// l holds atom l's k-th neighbor), yi_block the whole Y sweep. The U
+// stages produce the half column range 2*mb <= j (the other columns
+// follow from U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb])); yi_block
+// reads the full-range Utot that the caller expanded from it. The half
+// recursion is closed: column mb of level j reads column mb-1 (or 0) of
+// level j-1, and mb - 1 <= j/2 - 1 <= (j-1)/2.
 //
 // dei_block differentiates in reverse mode. Every half element f of
 // level j is a sum over its (at most two) parents p in level j-1,
@@ -56,10 +56,10 @@
 //
 // Widths 8 and 4 use single-rounding FMA; width 1 uses a plain
 // multiply-add. The TUs compile with -ffp-contract=off, so nothing else
-// fuses. The U stages of the widths differ only by that rounding and by
-// the lane order of the Utot sum, well inside the 1e-12 parity budget
-// against the Baseline (Z/dB) path. map_block uses no fma, so its
-// output is bitwise the same at every width.
+// fuses. The U stages of the widths differ only by that rounding, well
+// inside the 1e-12 parity budget against the Baseline (Z/dB) path.
+// map_block uses no fma, so its output is bitwise the same at every
+// width.
 //
 // This header contains no intrinsics (ember_lint simd-intrinsics-include
 // confines those to the kernels_avx*.cpp TUs).
@@ -76,16 +76,13 @@ namespace ember::snap::simd {
 template <class V>
 bool map_block_impl(const MapBlockArgs& g) {
   constexpr int kW = V::width;
-  const int n = g.n;
-  // Gather the block into lanes; padded lanes repeat the last neighbor.
   alignas(64) double lx[kW];
   alignas(64) double ly[kW];
   alignas(64) double lz[kW];
   for (int l = 0; l < kW; ++l) {
-    const Vec3& d = g.rij[l < n ? l : n - 1];
-    lx[l] = d.x;
-    ly[l] = d.y;
-    lz[l] = d.z;
+    lx[l] = g.rij[l].x;
+    ly[l] = g.rij[l].y;
+    lz[l] = g.rij[l].z;
   }
   const V x = V::load(lx);
   const V y = V::load(ly);
@@ -98,7 +95,7 @@ bool map_block_impl(const MapBlockArgs& g) {
   const V arg = V::broadcast(M_PI) * (r - rmin0) /
                 V::broadcast(g.rcut - g.rmin0);
 
-  // The transcendental calls, one scalar libm call per active lane.
+  // The transcendental calls, one scalar libm call per lane.
   alignas(64) double lr[kW];
   alignas(64) double lt[kW];
   alignas(64) double lc[kW];
@@ -107,7 +104,7 @@ bool map_block_impl(const MapBlockArgs& g) {
   ((r - rmin0) * rscale0).store_to(lt);
   arg.store_to(lc);
   bool in_range = true;
-  for (int l = 0; l < n; ++l) {
+  for (int l = 0; l < kW; ++l) {
     in_range = in_range && lr[l] > 0.0 && lr[l] < g.rcut;
     lt[l] = std::tan(lt[l]);
     if (g.switch_flag) {
@@ -115,16 +112,6 @@ bool map_block_impl(const MapBlockArgs& g) {
       lc[l] = std::cos(lc[l]);
     }
   }
-  // Padded lanes copy lane n - 1 (width 1 has none; GCC's array-bounds
-  // check cannot see that under the sanitizer flags).
-  if constexpr (kW > 1) {
-    for (int l = n; l < kW; ++l) {
-      lt[l] = lt[l - 1];
-      lc[l] = lc[l - 1];
-      ls[l] = ls[l - 1];
-    }
-  }
-
   const V z0 = r / V::load(lt);
   const V rr = r * r + z0 * z0;
   const V dz0dr = z0 / r - rscale0 * rr / r;
@@ -206,8 +193,8 @@ void ui_recursion(const UiBlockArgs& g) {
   double* ui = g.ui;
   double* acc_re = g.acc_re;
   double* acc_im = g.acc_im;
-  // Padded lanes carry w = 0, so their recursion output never reaches
-  // the accumulator.
+  // Dummy slots carry w = 0, so their recursion output adds an exact
+  // zero to the atom's Utot.
   V wfc = V::zero();
   if constexpr (kAccumulate) {
     wfc = V::load(g.ck + kCkW * kW) * V::load(g.ck + kCkFc * kW);
@@ -290,14 +277,14 @@ void dei_block_impl(const DeiBlockArgs& g) {
   double* lr = g.lam_re;
   double* li = g.lam_im;
 
-  // Seed: Lambda = Y on every half element (element 0 included), and
-  // S0 = sum_e y[e] . u[e] in two chains (re and im), per lane.
+  // Seed: Lambda = each lane's own Y on every half element (element 0
+  // included), and S0 = sum_e y[e] . u[e] in two chains (re and im).
   V s0r = V::zero();
   V s0i = V::zero();
   for (int e = 0; e < g.nh; ++e) {
     const int o = e * kW;
-    const V yr = V::broadcast(g.y_re[o]);
-    const V yi = V::broadcast(g.y_im[o]);
+    const V yr = V::load(g.y_re + o);
+    const V yi = V::load(g.y_im + o);
     yr.store_to(lr + o);
     yi.store_to(li + o);
     s0r = V::fma(yr, V::load(g.ur + o), s0r);

@@ -1,9 +1,9 @@
-// Scalar backend: the lane kernel at width 1, one neighbor (map/ui/dei)
-// or one atom (yi) per block. Intrinsics-free and compiled with the base
-// flags plus -ffp-contract=off, so it runs on every host and fuses
-// nothing, whatever the base ISA; EMBER_SIMD=scalar selects it on x86 as
-// well. The per-atom Bispectrum::compute_yi[_coeffs] always runs this
-// table's yi_block, and map_to_sphere its map_block.
+// Scalar backend: the lane kernel at width 1, one atom per block.
+// Intrinsics-free and compiled with the base flags plus
+// -ffp-contract=off, so it runs on every host and fuses nothing, whatever
+// the base ISA; EMBER_SIMD=scalar selects it on x86 as well. The per-atom
+// Bispectrum::compute_yi[_coeffs] always runs this table's yi_block, and
+// map_to_sphere its map_block.
 
 #include <cmath>
 

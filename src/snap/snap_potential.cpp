@@ -202,7 +202,9 @@ SnapModel SnapModel::load(const std::string& path) {
 SnapPotential::Scratch::Scratch(const SnapModel& model)
     : bi(model.params),
       rij(bi.lane_width()),
-      jlist(bi.lane_width()) {
+      jlist(bi.lane_width()),
+      atoms(bi.lane_width()),
+      energy(bi.lane_width()) {
   for (auto& r : rij) r.reserve(kNeighborReserve);
   for (auto& j : jlist) j.reserve(kNeighborReserve);
   beta_eff.reserve(model.beta.size());
@@ -270,11 +272,11 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
     // counters once per chunk.
     std::int64_t ui_ns = 0, yi_ns = 0, dei_ns = 0;
     long atoms = 0, neighbors = 0;
-    // Linear adjoint models run Y over atom blocks, one atom per lane.
-    // Quadratic models need each atom's own B before its Y, and the
-    // Baseline path has no Y, so both run one atom at a time.
-    const bool blocked = path_ == Path::Adjoint && !model_.quadratic();
-    const int width = blocked ? bi.lane_width() : 1;
+    // The adjoint path runs every stage over atom blocks, one atom per
+    // lane; the Baseline path has no lane kernel for dE, so it runs one
+    // atom at a time.
+    const bool adjoint = path_ == Path::Adjoint;
+    const int width = adjoint ? bi.lane_width() : 1;
 
     for (int i0 = bb; i0 < ee; i0 += width) {
       const int na = std::min(width, ee - i0);
@@ -288,53 +290,53 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
             sc.jlist[a].push_back(en.j);
           }
         }
+        sc.atoms[a] = {sc.rij[a], {}};
         atoms += 1;
         neighbors += static_cast<long>(sc.rij[a].size());
       }
 
       const std::int64_t t0 = obs::now_ns();
-      for (int a = 0; a < na; ++a) {
-        // The per-atom form also fills utot(), which compute_zi reads.
-        blocked ? bi.compute_ui(sc.rij[a], {}, a)
-                : bi.compute_ui(sc.rij[a], {});
-      }
+      bi.compute_ui_block({sc.atoms.data(), static_cast<std::size_t>(na)});
       const std::int64_t t1 = obs::now_ns();
-      if (blocked) {
+      if (adjoint && !model_.quadratic()) {
         // The per-triple coefficient fold was done once at construction.
         bi.compute_yi_block(y_coeff_);
-        for (int a = 0; a < na; ++a) {
-          s.energy += bi.energy_from_yi(model_.beta0, model_.beta, a);
-        }
+        bi.energy_from_yi(model_.beta0, model_.beta,
+                          {sc.energy.data(), static_cast<std::size_t>(na)});
+        for (int a = 0; a < na; ++a) s.energy += sc.energy[a];
       } else {
         // dE/dB = beta + alpha B depends on B itself (LAMMPS
-        // quadraticflag), so B comes first.
-        bi.compute_zi();
-        bi.compute_bi();
-        s.energy += model_.site_energy(bi.blist());
-        model_.effective_beta(bi.blist(), sc.beta_eff);
-        if (path_ == Path::Adjoint) bi.compute_yi(sc.beta_eff);
+        // quadraticflag), so each atom's B comes first, then its Y by the
+        // width-1 sweep into its lane.
+        for (int a = 0; a < na; ++a) {
+          bi.compute_zi(a);
+          bi.compute_bi();
+          s.energy += model_.site_energy(bi.blist());
+          model_.effective_beta(bi.blist(), sc.beta_eff);
+          if (adjoint) bi.compute_yi(sc.beta_eff, a);
+        }
       }
       const std::int64_t t2 = obs::now_ns();
 
+      // U replay + adjoint dE sweep over the block's neighbor slots.
+      if (adjoint) bi.compute_deidrj_block();
       for (int a = 0; a < na; ++a) {
         const int i = i0 + a;
         const std::vector<Vec3>& rij = sc.rij[a];
         const int nn = static_cast<int>(rij.size());
-        sc.de.resize(nn);
-        if (path_ == Path::Adjoint) {
-          // U replay + adjoint dE sweep over lane-width neighbor blocks.
-          bi.compute_deidrj_all(sc.de, a);
-          s.flops += bi.flops_adjoint_atom(nn);
-        } else {
+        if (!adjoint) {
           // dB needs the full-range dU list (compute_dbidrj contracts
           // every Z element), so the baseline path runs its own full
           // recursion per neighbor.
+          sc.de.resize(nn);
           bi.compute_deidrj_baseline(rij, sc.beta_eff, sc.de);
-          s.flops += bi.flops_ui(nn) + bi.flops_zi() + bi.flops_bi() +
-                     nn * (bi.flops_duidrj_full() + bi.flops_dbidrj());
         }
+        s.flops += adjoint ? bi.flops_adjoint_atom(nn)
+                           : bi.flops_ui(nn) + bi.flops_zi() + bi.flops_bi() +
+                                 nn * (bi.flops_duidrj_full() +
+                                       bi.flops_dbidrj());
         for (int m = 0; m < nn; ++m) {
-          const Vec3 de = sc.de[m];  // dE_i/dr_k
+          const Vec3 de = adjoint ? bi.deidrj(a, m) : sc.de[m];  // dE_i/dr_k
           f[sc.jlist[a][m]] -= de;
           f[i] += de;
           s.virial += -dot(rij[m], de);

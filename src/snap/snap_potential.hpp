@@ -4,7 +4,7 @@
 //
 // Wraps the Bispectrum kernel over a neighbor list. The execution path is
 // selectable so benchmarks can contrast the paper's two algorithms:
-//   Path::Adjoint  — compute_ui -> compute_yi -> per-neighbor dE (Listing 5)
+//   Path::Adjoint  — ui -> yi -> per-neighbor dE over atom blocks (Listing 5)
 //   Path::Baseline — compute_ui -> compute_zi -> per-neighbor dB (Listing 1)
 // Both produce identical forces (tests pin this); the adjoint path is the
 // production default.
@@ -60,9 +60,10 @@ class SnapPotential final : public md::PairPotential {
   // Threaded over atom chunks: worker 0 uses the member scratch (the
   // exact serial path), workers >= 1 get their own from the context's
   // per-thread cache — the per-atom U/Y/dU arrays are allocated once per
-  // thread, never shared (the SnapIndex is, read-only). The linear
-  // adjoint path runs each chunk in atom blocks of the lane width: ui per
-  // atom, one Y sweep per block (one atom per lane), dE per atom.
+  // thread, never shared (the SnapIndex is, read-only). The adjoint path
+  // runs each chunk in atom blocks of the lane width, one atom per lane:
+  // ui, then Y (one sweep per block for linear models, Z -> B -> Y per
+  // atom lane for quadratic ones), then dE for the block.
   using md::PairPotential::compute;
   md::EnergyVirial compute(const md::ComputeContext& ctx, md::System& sys,
                            const md::NeighborList& nl) override;
@@ -79,11 +80,14 @@ class SnapPotential final : public md::PairPotential {
   struct Scratch {
     explicit Scratch(const SnapModel& model);
     Bispectrum bi;
-    // Per atom lane of a block: in-cutoff displacements and neighbor ids.
+    // Per atom lane of a block: in-cutoff displacements, neighbor ids,
+    // the displacement view compute_ui_block reads, and the energy.
     std::vector<std::vector<Vec3>> rij;
     std::vector<std::vector<int>> jlist;
+    std::vector<Bispectrum::AtomNeighbors> atoms;
+    std::vector<double> energy;
     std::vector<double> beta_eff;
-    std::vector<Vec3> de;  // blocked dE_i/dr_k results
+    std::vector<Vec3> de;  // Baseline dE_i/dr_k results
   };
 
   SnapModel model_;

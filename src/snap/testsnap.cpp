@@ -21,7 +21,7 @@ const char* to_string(TestSnapBar bar) {
 TestSnap::TestSnap(const SnapParams& params, int natoms, int nnbor,
                    std::uint64_t seed)
     : natoms_(natoms), nnbor_(nnbor) {
-  workers_.push_back({Bispectrum(params), std::vector<Vec3>(nnbor)});
+  workers_.push_back({Bispectrum(params), std::vector<Vec3>(nnbor), {}});
   const SnapIndex& idx = workers_.front().bi.index();
 
   Rng rng(seed);
@@ -92,14 +92,16 @@ void TestSnap::run_baseline(Worker& w, int begin, int end) {
 
 void TestSnap::run_production(Worker& w, int begin, int end) {
   const int width = w.bi.lane_width();
+  w.atoms.resize(width);
   for (int i0 = begin; i0 < end; i0 += width) {
     const int na = std::min(width, end - i0);
-    for (int a = 0; a < na; ++a) w.bi.compute_ui(neighbors(i0 + a), {}, a);
+    for (int a = 0; a < na; ++a) w.atoms[a] = {neighbors(i0 + a), {}};
+    w.bi.compute_ui_block({w.atoms.data(), static_cast<std::size_t>(na)});
     w.bi.compute_yi_block(y_coeff_);
+    w.bi.compute_deidrj_block();
     for (int a = 0; a < na; ++a) {
-      w.bi.compute_deidrj_all(w.de, a);
       Vec3 fsum;
-      for (const Vec3& de : w.de) fsum += de;
+      for (int k = 0; k < nnbor_; ++k) fsum += w.bi.deidrj(a, k);
       forces_[i0 + a] = fsum;
     }
   }

@@ -14,9 +14,10 @@
 //               compute_ui -> compute_zi -> per neighbor dU and dB
 //               (compute_deidrj_baseline). O(J^5) Z storage and O(J^5)
 //               dB work per neighbor.
-//   Production  SnapPotential's linear atom-block sequence: compute_ui
-//               per atom lane, one compute_yi_block per block of
-//               lane-width atoms, compute_deidrj_all per atom. It holds
+//   Production  SnapPotential's linear atom-block sequence over blocks
+//               of lane-width atoms, one atom per lane:
+//               compute_ui_block, compute_yi_block and
+//               compute_deidrj_block. It holds
 //               the paper's V3 (adjoint Y and dE), V5 (half column
 //               range), V6 (split re/im planes, vector lanes) and V7
 //               (kept Cayley-Klein mappings); the V4 dU+dE fusion is its
@@ -68,10 +69,12 @@ class TestSnap {
   [[nodiscard]] std::span<const Vec3> forces() const { return forces_; }
 
  private:
-  // One worker's kernel state: the engine and its per-neighbor dE.
+  // One worker's kernel state: the engine, the Baseline's per-neighbor
+  // dE and the Production block's neighbor views.
   struct Worker {
     Bispectrum bi;
     std::vector<Vec3> de;
+    std::vector<Bispectrum::AtomNeighbors> atoms;
   };
 
   // forces_[i] for i in [begin, end), on one worker's state.

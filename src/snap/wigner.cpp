@@ -18,7 +18,6 @@ CayleyKlein map_to_sphere(const Vec3& rij, double rcut, double rfac0,
                                                .rmin0 = rmin0,
                                                .switch_flag = switch_flag,
                                                .rij = &rij,
-                                               .n = 1,
                                                .ck = s}),
                 "neighbor distance outside (0, rcut)");
   CayleyKlein ck;

@@ -28,9 +28,9 @@ TEST(ObsMachine, ProbeReportsPlausibleHardware) {
 }
 
 TEST(ObsMachine, GitHeadShaResolvesFromInsideTheRepo) {
-  // ctest runs from the build tree, which lives inside the repository;
-  // the lookup walks up until it finds .git.
-  const std::string sha = git_head_sha(".");
+  // The lookup starts in the source tree (the build tree may lie outside
+  // the checkout) and walks up until it finds .git.
+  const std::string sha = git_head_sha(EMBER_SOURCE_DIR);
   ASSERT_EQ(sha.size(), 40u) << "sha was '" << sha << "'";
   for (const char c : sha) {
     EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(c))) << sha;

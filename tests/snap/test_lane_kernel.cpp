@@ -12,14 +12,15 @@
 // shells the random draws miss: neighbors at the cutoff rim, on one
 // ray or duplicated, and with the switching function off.
 //
-// The atom-block Y sweep (compute_ui(.., lane) -> compute_yi_block) must
-// reproduce Y summed from the Baseline Z, and an atom's Y, energy and
-// forces must be bitwise the same in any lane of any block.
+// The atom blocks (compute_ui_block -> compute_yi_block ->
+// compute_deidrj_block) must reproduce Y summed from the Baseline Z, and
+// an atom's Y, energy and forces must be bitwise the same in any lane of
+// any block, whatever its block mates' neighbor counts.
 //
 // Suite names keep the kernel's lineage: "Symmetric" is the half-plane
 // adjoint kernel (at width 1 under EMBER_SIMD=scalar), "Simd" its lane
 // width 4, and "Naive" the full-range Baseline path used as oracle.
-// "SimdAtomBlock" covers the atom-lane Y sweep at every width.
+// "SimdAtomBlock" covers the atom blocks at every width.
 
 #include <gtest/gtest.h>
 
@@ -151,7 +152,8 @@ TEST_P(SymmetricKernelParity, StagesMatchNaiveOracle) {
       }
 
       bi.compute_yi(beta);
-      const double e_adj = bi.energy_from_yi(0.4, beta);
+      double e_adj = 0.0;  // lane 0, the one-atom block
+      bi.energy_from_yi(0.4, beta, {&e_adj, 1});
       bi.compute_zi();
       bi.compute_bi();
       const double e_base = bi.energy(0.4, beta);
@@ -250,8 +252,10 @@ TEST_P(SimdKernelParity, MatchesSymmetricAcrossNeighborCounts) {
 
       sym.compute_yi(beta);
       simd_bi.compute_yi(beta);
-      const double e_sym = sym.energy_from_yi(0.4, beta);
-      const double e_simd = simd_bi.energy_from_yi(0.4, beta);
+      double e_sym = 0.0;
+      double e_simd = 0.0;
+      sym.energy_from_yi(0.4, beta, {&e_sym, 1});
+      simd_bi.energy_from_yi(0.4, beta, {&e_simd, 1});
       EXPECT_NEAR(e_simd, e_sym, 1e-12 * std::max(1.0, std::abs(e_sym)))
           << where;
 
@@ -294,6 +298,17 @@ std::vector<Cplx> y_from_z(const Bispectrum& bi,
   return y;
 }
 
+// One block of atoms, atom l on lane l, every weight 1 unless wj is given.
+void ui_block(Bispectrum& bi, const std::vector<std::vector<Vec3>>& rij,
+              const std::vector<std::vector<double>>& wj = {}) {
+  std::vector<Bispectrum::AtomNeighbors> atoms;
+  for (std::size_t a = 0; a < rij.size(); ++a) {
+    atoms.push_back({rij[a], wj.empty() ? std::span<const double>{}
+                                        : std::span<const double>(wj[a])});
+  }
+  bi.compute_ui_block(atoms);
+}
+
 class SimdAtomBlockParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimdAtomBlockParity, BlockYMatchesBaselineZ) {
@@ -318,9 +333,12 @@ TEST_P(SimdAtomBlockParity, BlockYMatchesBaselineZ) {
       rij.push_back(random_shell(rng, 3 + 2 * a, 0.8, 3.2));
       wj.emplace_back(rij.back().size());
       for (auto& x : wj.back()) x = rng.uniform(0.5, 1.5);
-      bi.compute_ui(rij[a], wj[a], a);
     }
+    ui_block(bi, rij, wj);
     bi.compute_yi_block(coeffs);
+    std::vector<double> energy(w);
+    bi.energy_from_yi(0.4, beta, energy);
+    bi.compute_deidrj_block();
 
     const int nh = bi.index().u_half_total();
     for (int a = 0; a < w; ++a) {
@@ -338,19 +356,17 @@ TEST_P(SimdAtomBlockParity, BlockYMatchesBaselineZ) {
         EXPECT_NEAR(bi.yi_half(e, a).im, want.im, tol) << where << " y " << e;
       }
       const double e_base = ref.energy(0.4, beta);
-      EXPECT_NEAR(bi.energy_from_yi(0.4, beta, a), e_base,
-                  1e-12 * std::max(1.0, std::abs(e_base)))
+      EXPECT_NEAR(energy[a], e_base, 1e-12 * std::max(1.0, std::abs(e_base)))
           << where;
 
-      std::vector<Vec3> de(rij[a].size());
-      bi.compute_deidrj_all(de, a);
       ref.compute_ui(rij[a], wj[a]);
       ref.compute_yi_coeffs(coeffs);  // the width-1 sweep
       std::vector<Vec3> de_ref(rij[a].size());
       ref.compute_deidrj_all(de_ref);
-      for (std::size_t m = 0; m < de.size(); ++m) {
+      for (std::size_t m = 0; m < de_ref.size(); ++m) {
+        const Vec3 de = bi.deidrj(a, m);
         for (int d = 0; d < 3; ++d) {
-          EXPECT_NEAR(de[m][d], de_ref[m][d], 1e-12)
+          EXPECT_NEAR(de[d], de_ref[m][d], 1e-12)
               << where << " neighbor " << m << " dim " << d;
         }
       }
@@ -369,16 +385,29 @@ struct LaneResult {
   std::vector<Vec3> de;
 };
 
-LaneResult lane_result(Bispectrum& bi, int lane, int nn,
-                       const std::vector<double>& beta) {
-  LaneResult r;
-  for (int e = 0; e < bi.index().u_half_total(); ++e) {
-    r.y.push_back(bi.yi_half(e, lane));
+// The linear production sequence over one block; the results of every
+// lane, each with its own atom's neighbor count of dE.
+std::vector<LaneResult> run_block(Bispectrum& bi,
+                                  const std::vector<std::vector<Vec3>>& rij,
+                                  const std::vector<double>& coeffs,
+                                  const std::vector<double>& beta) {
+  ui_block(bi, rij);
+  bi.compute_yi_block(coeffs);
+  std::vector<double> energy(rij.size());
+  bi.energy_from_yi(0.4, beta, energy);
+  bi.compute_deidrj_block();
+  std::vector<LaneResult> out(rij.size());
+  for (std::size_t l = 0; l < rij.size(); ++l) {
+    const int lane = static_cast<int>(l);
+    for (int e = 0; e < bi.index().u_half_total(); ++e) {
+      out[l].y.push_back(bi.yi_half(e, lane));
+    }
+    out[l].energy = energy[l];
+    for (std::size_t k = 0; k < rij[l].size(); ++k) {
+      out[l].de.push_back(bi.deidrj(lane, k));
+    }
   }
-  r.energy = bi.energy_from_yi(0.4, beta, lane);
-  r.de.resize(nn);
-  bi.compute_deidrj_all(r.de, lane);
-  return r;
+  return out;
 }
 
 void expect_bitwise(const LaneResult& got, const LaneResult& want,
@@ -398,6 +427,8 @@ void expect_bitwise(const LaneResult& got, const LaneResult& want,
 }
 
 TEST(SimdAtomBlock, LaneResultsAreBitwiseIndependentOfLaneAndBlockMates) {
+  // Atoms of 0, 1, w-1, w, w+1 and 2w+3 neighbors, mixed in one block, so
+  // most lanes run dummy slots past their own last neighbor.
   for (const simd::SimdIsa isa : host_isas()) {
     ScopedSimdEnv env(simd::to_string(isa));
     Bispectrum bi(base_params(8));
@@ -407,24 +438,25 @@ TEST(SimdAtomBlock, LaneResultsAreBitwiseIndependentOfLaneAndBlockMates) {
     for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
     std::vector<double> coeffs;
     bi.index().fold_beta(beta, coeffs);
+    const int counts[] = {w + 1, 0, 2 * w + 3, 1, w, w - 1};
     std::vector<std::vector<Vec3>> atoms;
-    for (int a = 0; a <= w; ++a) {
-      atoms.push_back(random_shell(rng, 5 + 3 * a, 0.8, 3.2));
+    for (int a = 0; a < w + 2; ++a) {
+      atoms.push_back(random_shell(rng, counts[a % 6], 0.8, 3.2));
     }
-    const auto nn = [&](int a) { return static_cast<int>(atoms[a].size()); };
+    const std::string on = simd::to_string(isa);
 
-    // Each atom alone in lane 0 is the reference; alone in the last lane
-    // must match it.
+    // Each atom alone in lane 0 is the reference; alone in lane l, behind
+    // l atoms without neighbors, must match it.
     std::vector<LaneResult> alone;
-    for (int a = 0; a <= w; ++a) {
-      bi.compute_ui(atoms[a], {}, 0);
-      bi.compute_yi_block(coeffs);
-      alone.push_back(lane_result(bi, 0, nn(a), beta));
-      bi.compute_ui(atoms[a], {}, w - 1);
-      bi.compute_yi_block(coeffs);
-      expect_bitwise(lane_result(bi, w - 1, nn(a), beta), alone[a],
-                     std::string(simd::to_string(isa)) + " last lane, atom " +
-                         std::to_string(a));
+    for (std::size_t a = 0; a < atoms.size(); ++a) {
+      alone.push_back(run_block(bi, {atoms[a]}, coeffs, beta)[0]);
+      for (int l = 1; l < w; ++l) {
+        std::vector<std::vector<Vec3>> block(l);
+        block.push_back(atoms[a]);
+        expect_bitwise(run_block(bi, block, coeffs, beta)[l], alone[a],
+                       on + " lane " + std::to_string(l) + ", atom " +
+                           std::to_string(a));
+      }
     }
 
     // Blocks of 1, w-1, w and w+1 atoms, lanes filled in order.
@@ -432,14 +464,59 @@ TEST(SimdAtomBlock, LaneResultsAreBitwiseIndependentOfLaneAndBlockMates) {
       if (natoms == 0) continue;
       for (int b0 = 0; b0 < natoms; b0 += w) {
         const int nb = std::min(w, natoms - b0);
-        for (int l = 0; l < nb; ++l) bi.compute_ui(atoms[b0 + l], {}, l);
-        bi.compute_yi_block(coeffs);
+        const std::vector<std::vector<Vec3>> block(atoms.begin() + b0,
+                                                   atoms.begin() + b0 + nb);
+        const auto got = run_block(bi, block, coeffs, beta);
         for (int l = 0; l < nb; ++l) {
-          expect_bitwise(lane_result(bi, l, nn(b0 + l), beta), alone[b0 + l],
-                         std::string(simd::to_string(isa)) + " block of " +
-                             std::to_string(natoms) + ", atom " +
-                             std::to_string(b0 + l));
+          expect_bitwise(got[l], alone[b0 + l],
+                         on + " block of " + std::to_string(natoms) +
+                             ", atom " + std::to_string(b0 + l));
         }
+      }
+    }
+  }
+}
+
+TEST(SimdAtomBlock, ZeroNeighborLaneIsTheIsolatedAtom) {
+  // In a full block whose other lanes run up to 2w+3 neighbor slots, an
+  // atom without neighbors keeps Utot = wself on the diagonal and 0
+  // elsewhere, exactly, and every dummy slot of its lane gives zero dE.
+  for (const simd::SimdIsa isa : host_isas()) {
+    ScopedSimdEnv env(simd::to_string(isa));
+    SnapParams p = base_params(8);
+    p.wself = 0.75;
+    Bispectrum bi(p);
+    const int w = bi.lane_width();
+    Rng rng(823);
+    std::vector<double> coeffs(bi.index().z_triples().size());
+    for (auto& c : coeffs) c = 0.01 * rng.uniform(-1.0, 1.0);
+    std::vector<std::vector<Vec3>> block;
+    for (int l = 0; l < w; ++l) {
+      const int nn = l == w / 2 ? 0 : 2 * w + 3 - l;
+      block.push_back(random_shell(rng, nn, 0.8, 3.2));
+    }
+    const int empty = w / 2;
+    std::size_t nslots = 0;
+    for (const auto& r : block) nslots = std::max(nslots, r.size());
+    ui_block(bi, block);
+    bi.compute_yi_block(coeffs);
+    bi.compute_deidrj_block();
+    bi.compute_zi(empty);
+    const SnapIndex& idx = bi.index();
+    for (int j = 0; j <= p.twojmax; ++j) {
+      for (int ma = 0; ma <= j; ++ma) {
+        for (int mb = 0; mb <= j; ++mb) {
+          const Cplx u = bi.utot()[idx.u_index(j, ma, mb)];
+          EXPECT_EQ(u.re, ma == mb ? p.wself : 0.0)
+              << simd::to_string(isa) << " j " << j << " " << ma << mb;
+          EXPECT_EQ(u.im, 0.0) << simd::to_string(isa) << " j " << j;
+        }
+      }
+    }
+    for (int k = 0; k < static_cast<int>(nslots); ++k) {
+      const Vec3 de = bi.deidrj(empty, k);
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_EQ(de[d], 0.0) << simd::to_string(isa) << " slot " << k;
       }
     }
   }
@@ -683,6 +760,42 @@ TEST(SymmetricKernel, PartialAtomBlocksMatchNaive) {
       for (std::size_t i = 0; i < got.f.size(); ++i) {
         for (int d = 0; d < 3; ++d) {
           EXPECT_EQ(again.f[i][d], got.f[i][d]) << where << ", atom " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdAtomBlock, QuadraticBlocksMatchBaseline) {
+  // Quadratic models run Z -> B -> width-1 Y per atom lane inside the
+  // atom blocks: systems of 1, w-1, w and w+1 atoms (one block of each
+  // size, and w + 1 leaves a one-atom block) hold the Baseline to 1e-12.
+  const md::System full = perturbed_diamond(2, 0.1, 37);
+  const SnapModel model = parity_model(8, /*quadratic=*/true, 17);
+  for (const simd::SimdIsa isa : host_isas()) {
+    ScopedSimdEnv env(simd::to_string(isa));
+    const int w = simd::lane_width(isa);
+    for (const int natoms : std::set<int>{1, w - 1, w, w + 1}) {
+      if (natoms == 0) continue;
+      const std::string where = std::string(simd::to_string(isa)) + ", " +
+                                std::to_string(natoms) + " atoms";
+      md::System sys(full.box(), full.mass());
+      for (int i = 0; i < natoms; ++i) sys.add_atom(full.x[i]);
+      const ForceRun oracle =
+          run_potential(model, sys, 1, SnapPotential::Path::Baseline);
+      const ForceRun got =
+          run_potential(model, sys, 1, SnapPotential::Path::Adjoint);
+      EXPECT_NEAR(got.energy, oracle.energy,
+                  1e-12 * std::max(1.0, std::abs(oracle.energy)))
+          << where;
+      EXPECT_NEAR(got.virial, oracle.virial,
+                  1e-12 * std::max(1.0, std::abs(oracle.virial)))
+          << where;
+      ASSERT_EQ(got.f.size(), oracle.f.size());
+      for (std::size_t i = 0; i < oracle.f.size(); ++i) {
+        for (int d = 0; d < 3; ++d) {
+          EXPECT_NEAR(got.f[i][d], oracle.f[i][d], 1e-12)
+              << where << ", atom " << i << " dim " << d;
         }
       }
     }

@@ -193,9 +193,8 @@ TEST(SnapScaling, UiCostIsLinearInNeighbors) {
   p.rcut = 4.2;
   Bispectrum bi(p);
   Rng rng(53);
-  // Whole lane blocks at every kernel width (1, 4, 8): the lane kernel's
-  // cost is linear in ceil(n / width) blocks, so 16 -> 128 neighbors is 8x
-  // the work at any width, where 10 -> 80 would be only 5x at width 8.
+  // One neighbor slot per neighbor at every kernel width (1, 4, 8), so
+  // 16 -> 128 neighbors is 8x the slot work.
   const auto few = shell(rng, 16, 0.9, 4.0);
   const auto many = shell(rng, 128, 0.9, 4.0);
   const std::vector<Vec3> none;
@@ -216,8 +215,8 @@ TEST(SnapScaling, UiCostIsLinearInNeighbors) {
     best_many = std::min(best_many, time_ui(many));
   }
   // compute_ui has a fixed part that does not depend on the neighbors
-  // (zeroing and reducing the lane accumulators), so compare the costs
-  // above the zero-neighbor intercept.
+  // (zeroing Utot, the self term and the full-range expansion), so
+  // compare the costs above the zero-neighbor intercept.
   const double ratio = (best_many - best_none) / (best_few - best_none);
   EXPECT_GT(ratio, 4.0);
   EXPECT_LT(ratio, 20.0);  // ~8x for 8x the neighbors, wide timing slack

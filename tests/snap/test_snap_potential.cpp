@@ -68,7 +68,8 @@ TEST(SnapPotential, AdjointEnergyIdentity) {
   bi.compute_bi();
   const double e_explicit = bi.energy(0.7, beta);
   bi.compute_yi(beta);
-  const double e_adjoint = bi.energy_from_yi(0.7, beta);
+  double e_adjoint = 0.0;  // lane 0, the one-atom block
+  bi.energy_from_yi(0.7, beta, {&e_adjoint, 1});
   EXPECT_NEAR(e_adjoint, e_explicit, 1e-9 * std::max(1.0, std::abs(e_explicit)));
 }
 

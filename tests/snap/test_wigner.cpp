@@ -209,9 +209,8 @@ void expect_lane_is_map_to_sphere(const double* ck, int w, int l,
 
 TEST(MapToSphere, LaneKernelIsBitwiseMapToSphere) {
   // map_block at every host width against map_to_sphere, memcmp per
-  // slot: random shells (some neighbors on the coordinate planes), the
-  // cutoff rim, points inside rmin0 > 0, switch on and off, and every
-  // block fill 1..width (padded lanes must copy the last active lane).
+  // slot and lane: random shells (some neighbors on the coordinate
+  // planes), the cutoff rim, points inside rmin0 > 0, switch on and off.
   const double rcut = 3.4;
   const double rfac0 = 0.99363;
   Rng rng(29);
@@ -221,9 +220,8 @@ TEST(MapToSphere, LaneKernelIsBitwiseMapToSphere) {
     for (const double rmin0 : {0.0, 0.9}) {
       for (const bool sw : {true, false}) {
         for (int trial = 0; trial < 60; ++trial) {
-          const int n = 1 + trial % w;
           std::vector<Vec3> rij;
-          while (static_cast<int>(rij.size()) < n) {
+          while (static_cast<int>(rij.size()) < w) {
             Vec3 r{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
                    rng.uniform(-1.0, 1.0)};
             if (r.norm() < 0.1 || r.norm() > 1.0) continue;
@@ -240,16 +238,15 @@ TEST(MapToSphere, LaneKernelIsBitwiseMapToSphere) {
                                      .rmin0 = rmin0,
                                      .switch_flag = sw,
                                      .rij = rij.data(),
-                                     .n = n,
                                      .ck = ck.data()}));
           for (int l = 0; l < w; ++l) {
-            const int k = std::min(l, n - 1);
             expect_lane_is_map_to_sphere(
                 ck.data(), w, l,
-                map_to_sphere(rij[k], rcut, rfac0, rmin0, sw),
+                map_to_sphere(rij[l], rcut, rfac0, rmin0, sw),
                 std::string(simd::to_string(isa)) + " rmin0 " +
                     std::to_string(rmin0) + (sw ? " switched" : " unswitched") +
-                    " n " + std::to_string(n) + " lane " + std::to_string(l));
+                    " trial " + std::to_string(trial) + " lane " +
+                    std::to_string(l));
           }
         }
       }
